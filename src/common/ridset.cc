@@ -712,6 +712,11 @@ Result<RidSet> RidSet::DeserializeBlob(std::string_view blob) {
   if (!reader.U32(&num_containers)) {
     return Status::Corruption("ridset blob: truncated container count");
   }
+  // Each container header is 13 bytes (key, type, cardinality): bound the
+  // count before it sizes the reservation below.
+  if (num_containers > blob.size() / 13) {
+    return Status::Corruption("ridset blob: container count exceeds blob");
+  }
   RidSet out;
   out.containers_.reserve(num_containers);
   for (uint32_t ci = 0; ci < num_containers; ++ci) {

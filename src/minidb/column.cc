@@ -1,6 +1,44 @@
 #include "minidb/column.h"
 
+#include <bit>
+#include <cstring>
+
 namespace orpheus::minidb {
+
+namespace {
+
+template <typename T>
+void AppendLittleEndian(std::string_view bytes, std::vector<T>* dst) {
+  static_assert(sizeof(T) == 8);
+  const size_t n = bytes.size() / 8;
+  if (n == 0) return;  // memcpy must not see an empty vector's null data()
+  const size_t old = dst->size();
+  dst->resize(old + n);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst->data() + old, bytes.data(), n * 8);
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t v = 0;
+      for (int b = 0; b < 8; ++b) {
+        v |= uint64_t{static_cast<unsigned char>(bytes[8 * i + b])} << (8 * b);
+      }
+      std::memcpy(dst->data() + old + i, &v, 8);
+    }
+  }
+}
+
+}  // namespace
+
+void Column::AppendFixedWidth(std::string_view bytes) {
+  assert(type_ == ValueType::kInt64 || type_ == ValueType::kDouble);
+  if (type_ == ValueType::kInt64) {
+    AppendLittleEndian(bytes, &ints_);
+  } else {
+    AppendLittleEndian(bytes, &doubles_);
+  }
+  size_ += bytes.size() / 8;
+  if (!valid_.empty()) valid_.resize(size_, 1);
+}
 
 void Column::EnsureValidity() {
   if (valid_.empty()) valid_.assign(size_, 1);

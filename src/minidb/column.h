@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/ridset.h"
@@ -56,6 +57,11 @@ class Column {
     arrays_.push_back(ArrayCell{{}, std::move(set)});
     NoteValidAppend();
   }
+
+  /// Bulk-append hook for decoders: appends the non-null kInt64 or kDouble
+  /// cells whose 8-byte little-endian encodings fill `bytes`, copied
+  /// straight into the column's storage.
+  void AppendFixedWidth(std::string_view bytes);
 
   /// Append a NULL cell (records a validity hole; the physical slot holds a
   /// zero value).
@@ -112,6 +118,7 @@ class Column {
 
   /// Direct access to the integer payload for tight scan loops.
   const std::vector<int64_t>& int_data() const { return ints_; }
+  const std::vector<double>& double_data() const { return doubles_; }
 
   /// Widen the column to a more general type (paper Sec. 4.3: e.g. integer
   /// -> decimal). Supported: int64 -> double, int64/double -> string.

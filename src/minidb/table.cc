@@ -79,6 +79,21 @@ void Table::AppendIntRows(const int64_t* rows, size_t nrows) {
   ORPHEUS_COUNTER_ADD("minidb.rows_appended", nrows);
 }
 
+void Table::CountAppendedRows(size_t nrows) {
+  const size_t first_new = num_rows_;
+  num_rows_ += nrows;
+  for (const Column& col : columns_) {
+    assert(col.size() == num_rows_);
+    (void)col;
+  }
+  if (!indexes_.empty()) {
+    for (size_t r = first_new; r < num_rows_; ++r) {
+      MaintainIndexesOnAppend(static_cast<uint32_t>(r));
+    }
+  }
+  ORPHEUS_COUNTER_ADD("minidb.rows_appended", nrows);
+}
+
 Row Table::GetRow(uint32_t row) const {
   Row out;
   out.reserve(columns_.size());

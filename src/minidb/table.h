@@ -59,6 +59,12 @@ class Table {
   /// the result is identical to nrows AppendIntRowUnchecked calls.
   void AppendIntRows(const int64_t* rows, size_t nrows);
 
+  /// Bulk-append hook for decoders that fill the columns directly through
+  /// mutable_column(): once every column holds `nrows` more cells, counts
+  /// them as rows and maintains indexes, leaving the table exactly as
+  /// `nrows` AppendRowUnchecked calls would.
+  void CountAppendedRows(size_t nrows);
+
   Value GetValue(uint32_t row, size_t col) const {
     return columns_[col].GetValue(row);
   }

@@ -73,6 +73,7 @@ Result<std::unique_ptr<Client>> Client::Connect(
 
 Status Client::EnsureConnected(const Deadline& deadline) {
   if (connected_) return Status::OK();
+  ORPHEUS_TRACE_SPAN("connect");
   ORPHEUS_ASSIGN_OR_RETURN(sock_, Socket::Connect(address_, deadline));
   ++stats_.reconnects;
   Hello hello;
@@ -144,16 +145,25 @@ uint64_t Client::AckFloor() const {
 }
 
 Result<Response> Client::Call(Request req) {
+  ORPHEUS_TRACE_SPAN("net.client.rpc");
   ++stats_.calls;
   if (req.request_seq == 0) req.request_seq = next_seq_++;
   req.acked_seq = AckFloor();
   const Deadline deadline = Deadline::AfterMillis(options_.call_deadline_ms);
   Status last = Status::Unavailable("no attempt made");
+  // Encoded once; a retry re-sends these bytes with a refreshed deadline.
+  std::string request;
+  {
+    ORPHEUS_TRACE_SPAN("encode");
+    request = EncodeRequest(req);
+  }
+  std::string response;
 
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
     if (attempt > 0) {
       ++stats_.retries;
       ORPHEUS_COUNTER_ADD("net.client.retries", 1);
+      ORPHEUS_TRACE_SPAN("backoff");
       BackoffBeforeRetry(attempt, deadline);
     }
     if (deadline.expired()) {
@@ -165,19 +175,26 @@ Result<Response> Client::Call(Request req) {
     Status s = EnsureConnected(deadline);
     bool server_retryable = false;
     if (s.ok()) {
-      req.deadline_ms = deadline.remaining_millis();
-      s = SendMessage(&sock_, MsgType::kRequest, EncodeRequest(req),
-                      deadline);
+      SetEncodedDeadline(&request, deadline.remaining_millis());
+      {
+        ORPHEUS_TRACE_SPAN("send");
+        s = SendMessage(&sock_, MsgType::kRequest, request, deadline);
+      }
       if (s.ok()) {
         MsgType type;
-        std::string payload;
-        s = RecvMessage(&sock_, &type, &payload, deadline);
+        {
+          ORPHEUS_TRACE_SPAN("recv");
+          s = RecvMessage(&sock_, &type, &response, deadline);
+        }
         if (s.ok() && type != MsgType::kResponse) {
           s = Status::Unavailable("unexpected frame where a response was "
                                   "expected — stream desynced");
         }
         if (s.ok()) {
-          Result<Response> decoded = DecodeResponse(payload);
+          Result<Response> decoded = [&response] {
+            ORPHEUS_TRACE_SPAN("decode");
+            return DecodeResponse(response);
+          }();
           if (!decoded.ok()) {
             s = Status::Unavailable(StrFormat(
                 "corrupt response: %s",
@@ -250,10 +267,11 @@ Result<minidb::Table> Client::Checkout(
   req.vids = vids;
   req.table_name = table_name;
   ORPHEUS_ASSIGN_OR_RETURN(Response resp, Call(std::move(req)));
-  if (resp.table == nullptr) {
+  std::unique_ptr<minidb::Table> table = resp.table.Take();
+  if (table == nullptr) {
     return Status::Internal("checkout response carries no table");
   }
-  return std::move(*resp.table);
+  return std::move(*table);
 }
 
 Result<session::CommitOutcome> Client::Commit(uint64_t sid,
@@ -266,7 +284,7 @@ Result<session::CommitOutcome> Client::Commit(uint64_t sid,
   req.table_name = table.name();
   req.message = message;
   req.author = author;
-  req.table = std::make_unique<minidb::Table>(table.Clone(table.name()));
+  req.table.Lend(table);
   // A commit whose previous call died with the outcome unknown is retried
   // under its ORIGINAL stamp: the server either replays the recorded
   // verdict or resumes the parked durability wait — never commits twice.

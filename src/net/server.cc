@@ -62,17 +62,19 @@ SessionServer::~SessionServer() { Stop(); }
 
 void SessionServer::Stop() {
   if (stop_.exchange(true)) return;
+  // The accept loop sees stop_ within one 100ms accept tick. Closing the
+  // listener only after it has exited keeps Close() from writing the fd
+  // the loop is still reading.
+  accept_thread_.Join();
   listener_.Close();
   // Nudge every live connection so handlers parked in poll() wake now
-  // instead of at their next 250ms idle tick.
-  std::vector<std::shared_ptr<Socket>> socks;
+  // instead of at their next 250ms idle tick. Under mu_: a handler leaves
+  // conns_ (under mu_) before it closes its socket, so no socket is shut
+  // down while its handler closes it.
   {
     MutexLock lock(&mu_);
-    socks.reserve(conns_.size());
-    for (auto& entry : conns_) socks.push_back(entry.second);
+    for (auto& entry : conns_) entry.second->ShutdownBoth();
   }
-  for (auto& sock : socks) sock->ShutdownBoth();
-  accept_thread_.Join();
   std::vector<DedicatedThread> handlers;
   {
     MutexLock lock(&mu_);
@@ -236,12 +238,17 @@ void SessionServer::HandleConnection(std::shared_ptr<Socket> sock,
     if (s.IsDeadlineExceeded()) continue;
     if (!s.ok()) break;
     if (type != MsgType::kRequest) break;
-    Result<Request> req = DecodeRequest(payload);
+    ORPHEUS_TRACE_SPAN("net.server.request");
+    Result<Request> req = [&payload] {
+      ORPHEUS_TRACE_SPAN("decode");
+      return DecodeRequest(payload);
+    }();
     if (!req.ok()) break;
     if (FireConnDrop("net.server.drop_after_read")) break;
     std::string encoded =
         Dispatch(client_uuid, req.MoveValueOrDie());
     if (FireConnDrop("net.server.drop_before_send")) break;
+    ORPHEUS_TRACE_SPAN("send");
     if (!SendMessage(sock.get(), MsgType::kResponse, encoded,
                      Deadline::AfterMillis(10000))
              .ok()) {
@@ -249,9 +256,11 @@ void SessionServer::HandleConnection(std::shared_ptr<Socket> sock,
     }
   }
 
+  {
+    MutexLock lock(&mu_);
+    conns_.erase(conn_id);
+  }
   sock->Close();
-  MutexLock lock(&mu_);
-  conns_.erase(conn_id);
 }
 
 // ---------------------------------------------------------------------------
@@ -268,73 +277,83 @@ std::string SessionServer::Dispatch(const std::string& client_uuid,
   Response resp;
   resp.request_seq = req.request_seq;
   resp.op = req.op;
+  // The session stays claimed until its response is encoded: a checkout
+  // response lends the session's staged table to the encoder.
+  RemoteSession* rs = nullptr;
+  bool record = false;  // whether the verdict enters the replay window
 
-  switch (req.op) {
-    case Op::kOpen: {
-      // Open is mutating (it allocates a sid): a retried open must get
-      // the ORIGINAL sid back, not leak a second session.
-      std::string replay;
-      if (LookupDone(client_uuid, req.request_seq, req.acked_seq, &replay)) {
-        return replay;
-      }
-      resp = HandleOpen(client_uuid, req);
-      std::string encoded = EncodeResponse(resp);
-      if (resp.ok()) RecordDone(client_uuid, req.request_seq, encoded);
-      return encoded;
-    }
-    case Op::kLs:
-      return EncodeResponse(HandleLs(req));
-    case Op::kClose:
-      return EncodeResponse(HandleClose(req, client_uuid));
-    default:
-      break;
-  }
-
-  Result<RemoteSession*> claimed = ClaimSession(req.sid, client_uuid);
-  if (!claimed.ok()) {
-    resp.SetStatus(claimed.status(), claimed.status().IsUnavailable());
-    return EncodeResponse(resp);
-  }
-  RemoteSession* rs = claimed.ValueOrDie();
-
-  if (req.op == Op::kCommit) {
+  {
+    ORPHEUS_TRACE_SPAN("dispatch");
     std::string replay;
-    if (LookupDone(client_uuid, req.request_seq, req.acked_seq, &replay)) {
-      ReleaseSession(rs);
-      return replay;
+    switch (req.op) {
+      case Op::kOpen:
+        // Open is mutating (it allocates a sid): a retried open must get
+        // the ORIGINAL sid back, not leak a second session.
+        if (LookupDone(client_uuid, req.request_seq, req.acked_seq,
+                       &replay)) {
+          return replay;
+        }
+        resp = HandleOpen(client_uuid, req);
+        record = resp.ok();
+        break;
+      case Op::kLs:
+        resp = HandleLs(req);
+        break;
+      case Op::kClose:
+        resp = HandleClose(req, client_uuid);
+        break;
+      default: {
+        Result<RemoteSession*> claimed = ClaimSession(req.sid, client_uuid);
+        if (!claimed.ok()) {
+          resp.SetStatus(claimed.status(), claimed.status().IsUnavailable());
+          break;
+        }
+        rs = claimed.ValueOrDie();
+        if (req.op == Op::kCommit &&
+            LookupDone(client_uuid, req.request_seq, req.acked_seq,
+                       &replay)) {
+          ReleaseSession(rs);
+          return replay;
+        }
+        switch (req.op) {
+          case Op::kCheckout:
+            resp = HandleCheckout(rs, req);
+            break;
+          case Op::kCommit:
+            resp = HandleCommit(rs, &req);
+            break;
+          case Op::kRefresh:
+            resp = HandleRefresh(rs, req);
+            break;
+          case Op::kHeartbeat:
+            resp = HandleHeartbeat(rs, req);
+            break;
+          default:
+            resp.SetStatus(Status::InvalidArgument(StrFormat(
+                               "op %u needs no session",
+                               static_cast<unsigned>(req.op))),
+                           false);
+            break;
+        }
+        // A commit's FINAL verdict (success or definitive error) enters the
+        // replay window; a durability timeout does not — the retry must
+        // resume the parked wait, not replay the "try again" answer
+        // forever.
+        record = req.op == Op::kCommit &&
+                 resp.code !=
+                     static_cast<uint8_t>(StatusCode::kDeadlineExceeded);
+        break;
+      }
     }
   }
 
-  switch (req.op) {
-    case Op::kCheckout:
-      resp = HandleCheckout(rs, req);
-      break;
-    case Op::kCommit:
-      resp = HandleCommit(rs, &req);
-      break;
-    case Op::kRefresh:
-      resp = HandleRefresh(rs, req);
-      break;
-    case Op::kHeartbeat:
-      resp = HandleHeartbeat(rs, req);
-      break;
-    default:
-      resp.SetStatus(
-          Status::InvalidArgument(StrFormat("op %u needs no session",
-                                            static_cast<unsigned>(req.op))),
-          false);
-      break;
+  std::string encoded;
+  {
+    ORPHEUS_TRACE_SPAN("encode");
+    encoded = EncodeResponse(resp);
   }
-  ReleaseSession(rs);
-
-  std::string encoded = EncodeResponse(resp);
-  // A commit's FINAL verdict (success or definitive error) enters the
-  // replay window; a durability timeout does not — the retry must resume
-  // the parked wait, not replay the "try again" answer forever.
-  if (req.op == Op::kCommit &&
-      resp.code != static_cast<uint8_t>(StatusCode::kDeadlineExceeded)) {
-    RecordDone(client_uuid, req.request_seq, encoded);
-  }
+  if (rs != nullptr) ReleaseSession(rs);
+  if (record) RecordDone(client_uuid, req.request_seq, encoded);
   return encoded;
 }
 
@@ -457,9 +476,7 @@ Response SessionServer::HandleCheckout(RemoteSession* rs,
     resp.SetStatus(s, false);
     return resp;
   }
-  const minidb::Table* table = session->table(req.table_name);
-  resp.table =
-      std::make_unique<minidb::Table>(table->Clone(table->name()));
+  resp.table.Lend(*session->table(req.table_name));
   return resp;
 }
 
@@ -499,14 +516,14 @@ Response SessionServer::HandleCommit(RemoteSession* rs, Request* req) {
     }
     resumed = true;  // retry of the timed-out commit: resume the wait
   } else {
-    if (req->table == nullptr) {
+    std::unique_ptr<minidb::Table> table = req->table.Take();
+    if (table == nullptr) {
       resp.SetStatus(
           Status::InvalidArgument("commit request carries no table"),
           false);
       return resp;
     }
-    Status staged =
-        session->ReplaceStaging(table_name, std::move(*req->table));
+    Status staged = session->ReplaceStaging(table_name, std::move(*table));
     if (!staged.ok()) {
       resp.SetStatus(staged, false);
       return resp;

@@ -129,6 +129,8 @@ class SessionServer {
   std::string Dispatch(const std::string& client_uuid, Request req);
 
   Response HandleOpen(const std::string& client_uuid, const Request& req);
+  /// The response lends the session's staged table: encode it before
+  /// releasing the session.
   Response HandleCheckout(RemoteSession* rs, const Request& req);
   Response HandleCommit(RemoteSession* rs, Request* req);
   Response HandleRefresh(RemoteSession* rs, const Request& req);

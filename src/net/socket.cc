@@ -6,9 +6,11 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstring>
@@ -169,18 +171,25 @@ void Socket::ShutdownBoth() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
-Status Socket::SendAll(std::string_view data, const Deadline& deadline) {
+Status Socket::SendAll(std::initializer_list<std::string_view> pieces,
+                       const Deadline& deadline) {
   if (fd_ < 0) return Status::Unavailable("send on closed socket");
   const bool client = peer_ == Peer::kClient;
+  constexpr size_t kMaxPieces = 4;
+  if (pieces.size() > kMaxPieces) {
+    return Status::InvalidArgument("SendAll takes at most 4 pieces");
+  }
+  size_t total = 0;
+  for (std::string_view piece : pieces) total += piece.size();
 
   // Torn-frame injection: push half the bytes for real, then fail — the
   // peer sees a frame that stops mid-payload, exactly like a crash between
   // two TCP segments.
-  size_t limit = data.size();
+  size_t limit = total;
   bool tear = false;
   if (auto s = HitNetFailpoint(client ? "net.client.send.partial"
                                       : "net.server.send.partial")) {
-    limit = data.size() / 2;
+    limit = total / 2;
     tear = true;
     (void)s;
   } else if (auto fault =
@@ -191,8 +200,28 @@ Status Socket::SendAll(std::string_view data, const Deadline& deadline) {
 
   size_t sent = 0;
   while (sent < limit) {
-    const ssize_t n = ::send(fd_, data.data() + sent, limit - sent,
-                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    // The unsent part of [0, limit) as iovecs over the caller's pieces.
+    iovec iov[kMaxPieces];
+    size_t niov = 0;
+    size_t skip = sent;
+    size_t left = limit - sent;
+    for (std::string_view piece : pieces) {
+      if (left == 0) break;
+      if (skip >= piece.size()) {
+        skip -= piece.size();
+        continue;
+      }
+      const size_t take = std::min(piece.size() - skip, left);
+      iov[niov].iov_base = const_cast<char*>(piece.data() + skip);
+      iov[niov].iov_len = take;
+      ++niov;
+      left -= take;
+      skip = 0;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = niov;
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n > 0) {
       sent += static_cast<size_t>(n);
       continue;

@@ -2,6 +2,7 @@
 #define ORPHEUS_NET_SOCKET_H_
 
 #include <cstddef>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 
@@ -51,9 +52,11 @@ class Socket {
   /// Closes.
   void ShutdownBoth();
 
-  /// Write all of `data`, waiting (bounded by `deadline`) whenever the
-  /// kernel buffer is full.
-  Status SendAll(std::string_view data, const Deadline& deadline);
+  /// Write all of `pieces`, in order, as one stream (gathered by sendmsg,
+  /// not joined into a buffer first), waiting (bounded by `deadline`)
+  /// whenever the kernel buffer is full.
+  Status SendAll(std::initializer_list<std::string_view> pieces,
+                 const Deadline& deadline);
 
   /// Read exactly `n` bytes into `buf`. EOF or reset mid-read is
   /// Unavailable. `*received` (optional) reports bytes consumed so far on

@@ -1,5 +1,7 @@
 #include "net/wire.h"
 
+#include <bit>
+#include <cstring>
 #include <utility>
 
 #include "common/string_util.h"
@@ -14,6 +16,15 @@ namespace {
 
 /// Statuses reconstructed from the wire reuse the StatusCode numbering; a
 /// peer sending an out-of-range byte gets mapped to Internal.
+// Smallest encodings of the repeated message elements, for GetCount.
+constexpr size_t kMinConflictBytes = 5 * 4;           // five strings
+constexpr size_t kMinColumnBytes = 4 + 1;             // name, type
+constexpr size_t kMinCvdSummaryBytes = 4 + 3 * 4 + 1;  // name, 3 x i32, u8
+
+// Byte offset of Request::deadline_ms in an EncodeRequest payload: op,
+// request_seq, acked_seq, sid precede it.
+constexpr size_t kDeadlineOffset = 1 + 8 + 8 + 8;
+
 Status MakeStatus(uint8_t code, const std::string& message) {
   if (code == 0) return Status::OK();
   switch (static_cast<StatusCode>(code)) {
@@ -78,7 +89,8 @@ Result<session::CommitOutcome> DecodeOutcome(Decoder* dec) {
   ORPHEUS_ASSIGN_OR_RETURN(out.reconciled_with, dec->GetI32());
   ORPHEUS_ASSIGN_OR_RETURN(uint8_t reconciled, dec->GetU8());
   out.reconciled = reconciled != 0;
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t n,
+                           dec->GetCount(kMinConflictBytes, "conflict"));
   out.conflicts.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     ORPHEUS_ASSIGN_OR_RETURN(session::MergeConflict c, DecodeConflict(dec));
@@ -159,7 +171,140 @@ Result<HelloAck> DecodeHelloAck(std::string_view payload) {
 // Table codec
 // ---------------------------------------------------------------------------
 
-void EncodeTable(const minidb::Table& table, storage::Encoder* enc) {
+const minidb::Table* WireTable::get() const {
+  if (const auto* owned = std::get_if<std::unique_ptr<minidb::Table>>(&table_)) {
+    return owned->get();
+  }
+  return std::get<const minidb::Table*>(table_);
+}
+
+std::unique_ptr<minidb::Table> WireTable::Take() {
+  auto* owned = std::get_if<std::unique_ptr<minidb::Table>>(&table_);
+  return owned != nullptr ? std::move(*owned) : nullptr;
+}
+
+namespace {
+
+/// The fixed-width payload of a kInt64/kDouble column as little-endian
+/// bytes: a view of the column's own storage on little-endian hosts.
+template <typename T>
+void PutFixedWidth(const std::vector<T>& values, size_t nrows,
+                   Encoder* enc) {
+  if (nrows == 0) return;  // an empty vector's data() may be null
+  if constexpr (std::endian::native == std::endian::little) {
+    enc->PutBytes(std::string_view(
+        reinterpret_cast<const char*>(values.data()), nrows * sizeof(T)));
+  } else {
+    for (size_t r = 0; r < nrows; ++r) {
+      uint64_t bits;
+      std::memcpy(&bits, &values[r], sizeof(bits));
+      enc->PutU64(bits);
+    }
+  }
+}
+
+void EncodeColumn(const minidb::Column& col, size_t nrows, Encoder* enc) {
+  using minidb::ValueType;
+  std::string nulls;
+  for (size_t r = 0; r < nrows; ++r) {
+    if (col.type() == ValueType::kNull || col.IsNull(r)) {
+      if (nulls.empty()) nulls.assign((nrows + 7) / 8, '\0');
+      nulls[r / 8] = static_cast<char>(nulls[r / 8] | (1 << (r % 8)));
+    }
+  }
+  enc->PutU8(nulls.empty() ? 0 : 1);
+  enc->PutBytes(nulls);
+  switch (col.type()) {
+    case ValueType::kInt64:
+      PutFixedWidth(col.int_data(), nrows, enc);
+      break;
+    case ValueType::kDouble:
+      PutFixedWidth(col.double_data(), nrows, enc);
+      break;
+    case ValueType::kString:
+      for (size_t r = 0; r < nrows; ++r) {
+        if (!col.IsNull(r)) enc->PutString(col.GetString(r));
+      }
+      break;
+    case ValueType::kIntArray:
+      for (size_t r = 0; r < nrows; ++r) {
+        if (!col.IsNull(r)) storage::EncodeIntArrayCell(col, r, enc);
+      }
+      break;
+    case ValueType::kNull:
+      break;
+  }
+}
+
+/// Decodes one column into `col`, appending exactly `nrows` cells. Cells
+/// under a NULL bit go through AppendNull, as a row append of a NULL would.
+Status DecodeColumn(Decoder* dec, size_t nrows, minidb::Column* col) {
+  using minidb::ValueType;
+  ORPHEUS_ASSIGN_OR_RETURN(uint8_t has_nulls, dec->GetU8());
+  if (has_nulls > 1) {
+    return Status::DataLoss(StrFormat("bad null-bitmap flag %u", has_nulls));
+  }
+  std::string_view nulls;
+  if (has_nulls == 1) {
+    ORPHEUS_ASSIGN_OR_RETURN(nulls, dec->GetBytes((nrows + 7) / 8));
+  }
+  auto is_null = [&nulls](size_t r) {
+    return !nulls.empty() &&
+           ((static_cast<unsigned char>(nulls[r / 8]) >> (r % 8)) & 1) != 0;
+  };
+  switch (col->type()) {
+    case ValueType::kInt64:
+    case ValueType::kDouble: {
+      ORPHEUS_ASSIGN_OR_RETURN(std::string_view cells,
+                               dec->GetBytes(nrows * 8));
+      if (nulls.find_first_not_of('\0') == std::string_view::npos) {
+        col->AppendFixedWidth(cells);
+        break;
+      }
+      for (size_t r = 0; r < nrows; ++r) {
+        if (is_null(r)) {
+          col->AppendNull();
+        } else {
+          col->AppendFixedWidth(cells.substr(r * 8, 8));
+        }
+      }
+      break;
+    }
+    case ValueType::kString:
+      for (size_t r = 0; r < nrows; ++r) {
+        if (is_null(r)) {
+          col->AppendNull();
+          continue;
+        }
+        ORPHEUS_ASSIGN_OR_RETURN(std::string v, dec->GetString());
+        col->AppendString(std::move(v));
+      }
+      break;
+    case ValueType::kIntArray:
+      for (size_t r = 0; r < nrows; ++r) {
+        if (is_null(r)) {
+          col->AppendNull();
+          continue;
+        }
+        ORPHEUS_ASSIGN_OR_RETURN(minidb::Value v, storage::DecodeIntArray(dec));
+        col->AppendValue(v);
+      }
+      break;
+    case ValueType::kNull:
+      // The bitmap is the only thing a null column ships, so requiring it
+      // keeps the cells appended here bounded by the bytes received.
+      if (nrows > 0 && nulls.empty()) {
+        return Status::DataLoss("null-typed column without a null bitmap");
+      }
+      for (size_t r = 0; r < nrows; ++r) col->AppendNull();
+      break;
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+void EncodeTable(const minidb::Table& table, Encoder* enc) {
   enc->PutString(table.name());
   const minidb::Schema& schema = table.schema();
   enc->PutU32(static_cast<uint32_t>(schema.num_columns()));
@@ -167,18 +312,20 @@ void EncodeTable(const minidb::Table& table, storage::Encoder* enc) {
     enc->PutString(col.name);
     enc->PutU8(static_cast<uint8_t>(col.type));
   }
-  enc->PutU32(static_cast<uint32_t>(table.num_rows()));
-  for (uint32_t r = 0; r < table.num_rows(); ++r) {
-    const minidb::Row row = table.GetRow(r);
-    for (const minidb::Value& value : row) {
-      storage::EncodeValue(value, enc);
-    }
+  const size_t nrows = table.num_rows();
+  enc->PutU32(static_cast<uint32_t>(nrows));
+  // Sized for 8-byte cells, so a fixed-width table is written without
+  // regrowing the buffer.
+  enc->Reserve(table.num_columns() * (1 + 8 * nrows));
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    EncodeColumn(table.column(c), nrows, enc);
   }
 }
 
-Result<minidb::Table> DecodeTable(storage::Decoder* dec) {
+Result<minidb::Table> DecodeTable(Decoder* dec) {
   ORPHEUS_ASSIGN_OR_RETURN(std::string name, dec->GetString());
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t ncols, dec->GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t ncols,
+                           dec->GetCount(kMinColumnBytes, "column"));
   std::vector<minidb::ColumnDef> cols;
   cols.reserve(ncols);
   for (uint32_t c = 0; c < ncols; ++c) {
@@ -193,14 +340,11 @@ Result<minidb::Table> DecodeTable(storage::Decoder* dec) {
     cols.push_back(std::move(col));
   }
   ORPHEUS_ASSIGN_OR_RETURN(uint32_t nrows, dec->GetU32());
-  minidb::Table table(name, minidb::Schema(std::move(cols)));
-  minidb::Row row(table.num_columns());
-  for (uint32_t r = 0; r < nrows; ++r) {
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      ORPHEUS_ASSIGN_OR_RETURN(row[c], storage::DecodeValue(dec));
-    }
-    table.AppendRowUnchecked(row);
+  minidb::Table table(std::move(name), minidb::Schema(std::move(cols)));
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    ORPHEUS_RETURN_NOT_OK(DecodeColumn(dec, nrows, &table.mutable_column(c)));
   }
+  table.CountAppendedRows(nrows);
   return table;
 }
 
@@ -221,8 +365,9 @@ std::string EncodeRequest(const Request& req) {
   for (core::VersionId vid : req.vids) enc.PutI32(vid);
   enc.PutString(req.message);
   enc.PutString(req.author);
-  enc.PutU8(req.table != nullptr ? 1 : 0);
-  if (req.table != nullptr) EncodeTable(*req.table, &enc);
+  const minidb::Table* table = req.table.get();
+  enc.PutU8(table != nullptr ? 1 : 0);
+  if (table != nullptr) EncodeTable(*table, &enc);
   return enc.Take();
 }
 
@@ -241,7 +386,7 @@ Result<Request> DecodeRequest(std::string_view payload) {
   ORPHEUS_ASSIGN_OR_RETURN(req.deadline_ms, dec.GetI64());
   ORPHEUS_ASSIGN_OR_RETURN(req.cvd, dec.GetString());
   ORPHEUS_ASSIGN_OR_RETURN(req.table_name, dec.GetString());
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t nvids, dec.GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t nvids, dec.GetCount(4, "vid"));
   req.vids.reserve(nvids);
   for (uint32_t i = 0; i < nvids; ++i) {
     ORPHEUS_ASSIGN_OR_RETURN(core::VersionId vid, dec.GetI32());
@@ -252,9 +397,16 @@ Result<Request> DecodeRequest(std::string_view payload) {
   ORPHEUS_ASSIGN_OR_RETURN(uint8_t has_table, dec.GetU8());
   if (has_table != 0) {
     ORPHEUS_ASSIGN_OR_RETURN(minidb::Table table, DecodeTable(&dec));
-    req.table = std::make_unique<minidb::Table>(std::move(table));
+    req.table.Own(std::move(table));
   }
   return req;
+}
+
+void SetEncodedDeadline(std::string* request_payload, int64_t deadline_ms) {
+  Encoder field;
+  field.PutI64(deadline_ms);
+  request_payload->replace(kDeadlineOffset, field.data().size(),
+                           field.data());
 }
 
 std::string EncodeResponse(const Response& resp) {
@@ -271,7 +423,7 @@ std::string EncodeResponse(const Response& resp) {
       enc.PutI32(resp.watermark);
       break;
     case Op::kCheckout:
-      EncodeTable(*resp.table, &enc);
+      EncodeTable(*resp.table.get(), &enc);
       break;
     case Op::kCommit:
       EncodeOutcome(resp.outcome, &enc);
@@ -321,7 +473,7 @@ Result<Response> DecodeResponse(std::string_view payload) {
     }
     case Op::kCheckout: {
       ORPHEUS_ASSIGN_OR_RETURN(minidb::Table table, DecodeTable(&dec));
-      resp.table = std::make_unique<minidb::Table>(std::move(table));
+      resp.table.Own(std::move(table));
       break;
     }
     case Op::kCommit: {
@@ -333,7 +485,8 @@ Result<Response> DecodeResponse(std::string_view payload) {
       break;
     }
     case Op::kLs: {
-      ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, dec.GetU32());
+      ORPHEUS_ASSIGN_OR_RETURN(uint32_t n,
+                               dec.GetCount(kMinCvdSummaryBytes, "cvd"));
       resp.cvds.reserve(n);
       for (uint32_t i = 0; i < n; ++i) {
         CvdSummary c;
@@ -363,74 +516,67 @@ Result<Response> DecodeResponse(std::string_view payload) {
 
 Status SendMessage(Socket* sock, MsgType type, std::string_view payload,
                    const Deadline& deadline) {
-  std::string frame;
-  storage::AppendFrame(&frame,
-                       static_cast<storage::FrameType>(
-                           static_cast<uint8_t>(type)),
-                       payload);
-  return sock->SendAll(frame, deadline);
+  const std::string header = storage::EncodeFrameHeader(
+      static_cast<storage::FrameType>(static_cast<uint8_t>(type)), payload);
+  return sock->SendAll({header, payload}, deadline);
 }
 
 Status RecvMessage(Socket* sock, MsgType* type, std::string* payload,
                    const Deadline& idle_deadline) {
-  // The 8-byte length+crc prefix, read under the idle deadline. A timeout
-  // with ZERO bytes consumed leaves the stream frame-aligned (retryable);
-  // any partial read means we are desynced mid-frame.
-  std::string buf(storage::kFrameHeaderSize - 1, '\0');
+  // The frame header, read under the idle deadline. A timeout with ZERO
+  // bytes consumed leaves the stream frame-aligned (retryable); any
+  // partial read means we are desynced mid-frame.
+  char head[storage::kFrameHeaderSize];
   size_t received = 0;
-  Status s = sock->RecvAll(buf.data(), buf.size(), idle_deadline, &received);
+  Status s = sock->RecvAll(head, sizeof(head), idle_deadline, &received);
   if (!s.ok()) {
     if (s.IsDeadlineExceeded() && received > 0) {
       return Status::Unavailable(StrFormat(
           "frame torn: %zu of %zu header bytes before the deadline",
-          received, buf.size()));
+          received, sizeof(head)));
     }
     return s;
   }
-  storage::Decoder header(buf);
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t payload_size, header.GetU32());
-  if (payload_size > kMaxFramePayload) {
+  const storage::FrameHeader header =
+      storage::DecodeFrameHeader(std::string_view(head, sizeof(head)));
+  if (header.payload_size > kMaxFramePayload) {
     return Status::Unavailable(StrFormat(
         "frame claims %u payload bytes (cap %u) — corrupt stream",
-        payload_size, kMaxFramePayload));
+        header.payload_size, kMaxFramePayload));
   }
   // Once a frame has started, finish it under a generous fixed bound so a
   // stalled peer cannot park us forever, while a briefly-slow large frame
-  // still completes.
+  // still completes. The payload lands in the caller's buffer directly.
   const Deadline body_deadline = Deadline::AfterMillis(10000);
-  std::string rest(1 + static_cast<size_t>(payload_size), '\0');
-  s = sock->RecvAll(rest.data(), rest.size(), body_deadline, &received);
+  payload->resize(header.payload_size);
+  s = sock->RecvAll(payload->data(), payload->size(), body_deadline,
+                    &received);
   if (!s.ok()) {
     if (s.IsDeadlineExceeded()) {
       return Status::Unavailable(StrFormat(
-          "frame torn: %zu of %zu body bytes before the deadline", received,
-          rest.size()));
+          "frame torn: %zu of %zu payload bytes before the deadline",
+          received, payload->size()));
     }
     return s;
   }
-  // Reassemble and parse with the storage frame reader — the same
-  // torn/corrupt classification the WAL uses. A "torn tail" here cannot
-  // happen (we read the exact length), so any checksum failure surfaces
-  // as corruption, which on a stream means a retryable transport fault.
-  buf.append(rest);
-  size_t pos = 0;
-  storage::Frame frame;
+  // The storage frame check — the torn/corrupt classification the WAL
+  // uses. A frame read off a stream is the last thing in hand, so a
+  // checksum failure classifies as a torn tail; on a stream that means
+  // mangled bytes, a transport fault a fresh connection may not repeat.
   bool torn = false;
-  s = storage::ReadFrame(buf, 0, &pos, &frame, &torn);
+  s = storage::CheckFrame(header, *payload, 0, 0, &torn);
   if (!s.ok() || torn) {
     return Status::Unavailable(StrFormat(
         "corrupt frame on the wire: %s",
-        s.ok() ? "torn" : std::string(s.message()).c_str()));
+        s.ok() ? "checksum mismatch" : std::string(s.message()).c_str()));
   }
-  const uint8_t raw_type = static_cast<uint8_t>(frame.type);
-  if (raw_type < static_cast<uint8_t>(MsgType::kHello) ||
-      raw_type > static_cast<uint8_t>(MsgType::kResponse)) {
+  if (header.type < static_cast<uint8_t>(MsgType::kHello) ||
+      header.type > static_cast<uint8_t>(MsgType::kResponse)) {
     return Status::Unavailable(StrFormat(
         "unexpected frame type %u on the wire (not a net message)",
-        raw_type));
+        header.type));
   }
-  *type = static_cast<MsgType>(raw_type);
-  payload->assign(frame.payload);
+  *type = static_cast<MsgType>(header.type);
   return Status::OK();
 }
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/result.h"
@@ -21,11 +22,12 @@ namespace orpheus::net {
 /// The orpheusd wire protocol (DESIGN.md §14). Every message is ONE frame
 /// in the storage/format.h layout —
 ///   u32 payload_size | u32 crc32c(type byte + payload) | u8 type | payload
-/// — written and parsed by the same AppendFrame/ReadFrame primitives the
-/// WAL uses, so a torn or corrupted frame is detected exactly like a torn
-/// WAL tail. Net message types live in a disjoint range (>= 32) from the
-/// storage FrameTypes (1..5): feeding a WAL at the server, or a snapshot
-/// at a client, fails loudly on the first frame.
+/// — with the same header and checksum code the WAL uses
+/// (EncodeFrameHeader, DecodeFrameHeader, CheckFrame), so a torn or
+/// corrupted frame is classified exactly like a torn WAL tail. Net message
+/// types live in a disjoint range (>= 32) from the storage FrameTypes
+/// (1..5): feeding a WAL at the server, or a snapshot at a client, fails
+/// loudly on the first frame.
 ///
 /// Connection lifecycle:
 ///   client: Hello ->  server: HelloAck (version check; error closes)
@@ -36,7 +38,9 @@ namespace orpheus::net {
 /// window (DESIGN.md §14.4).
 
 inline constexpr char kNetMagic[9] = "ORPHNET1";  // 8 bytes + NUL
-inline constexpr uint32_t kProtocolVersion = 1;
+/// v2: tables travel column by column (see EncodeTable). A v1 peer is
+/// refused at the handshake.
+inline constexpr uint32_t kProtocolVersion = 2;
 
 /// Upper bound on one frame's payload; a stream claiming more is treated
 /// as corrupt rather than trusted with an allocation.
@@ -67,6 +71,27 @@ const char* OpName(Op op);
 // Messages
 // ---------------------------------------------------------------------------
 
+/// The table a message carries (a kCommit request's staged table, a
+/// kCheckout response's materialized one). A sender lends its own table:
+/// the encoder reads it in place, so nothing is cloned to ship it, and the
+/// table must outlive the Encode* call. A decoder stores the table it
+/// rebuilt, for the receiver to Take().
+class WireTable {
+ public:
+  void Lend(const minidb::Table& table) { table_ = &table; }
+  void Own(minidb::Table table) {
+    table_ = std::make_unique<minidb::Table>(std::move(table));
+  }
+  /// The carried table, lent or owned; nullptr when there is none.
+  const minidb::Table* get() const;
+  /// The decoded table; nullptr when there is none or it was lent.
+  std::unique_ptr<minidb::Table> Take();
+
+ private:
+  std::variant<const minidb::Table*, std::unique_ptr<minidb::Table>> table_{
+      nullptr};
+};
+
 struct Hello {
   std::string magic;  // must equal kNetMagic
   uint32_t protocol_version = kProtocolVersion;
@@ -94,9 +119,7 @@ struct Request {
   std::vector<core::VersionId> vids;  // kCheckout
   std::string message;                // kCommit
   std::string author;                 // kCommit
-  // kCommit: the staged table (unique_ptr: Table is move-only and Request
-  // wants to stay movable through std::function-free code paths).
-  std::unique_ptr<minidb::Table> table;
+  WireTable table;                    // kCommit: the staged table
 };
 
 /// One served CVD, for kLs.
@@ -117,7 +140,7 @@ struct Response {
   Op op = Op::kOpen;
   uint64_t sid = 0;                          // kOpen
   core::VersionId watermark = 0;             // kOpen / kRefresh
-  std::unique_ptr<minidb::Table> table;      // kCheckout
+  WireTable table;                           // kCheckout
   session::CommitOutcome outcome;            // kCommit
   std::vector<CvdSummary> cvds;              // kLs
   int64_t lease_ms = 0;                      // kHeartbeat
@@ -142,11 +165,29 @@ Result<HelloAck> DecodeHelloAck(std::string_view payload);
 std::string EncodeRequest(const Request& req);
 Result<Request> DecodeRequest(std::string_view payload);
 
+/// Overwrite the deadline_ms field of an EncodeRequest payload in place, so
+/// a call encodes its request once and each retry only refreshes the
+/// remaining budget.
+void SetEncodedDeadline(std::string* request_payload, int64_t deadline_ms);
+
 std::string EncodeResponse(const Response& resp);
 Result<Response> DecodeResponse(std::string_view payload);
 
-/// Table codec: schema (column name + ValueType) then row-major values via
-/// the storage EncodeValue/DecodeValue primitives.
+/// Table codec (protocol v2), column by column:
+///   string name | u32 ncols | ncols x (string name | u8 ValueType)
+///   | u32 nrows | ncols x column
+/// Each column opens with its null bitmap — u8 0 (no nulls) or u8 1 then
+/// ceil(nrows/8) bytes, bit r set = cell r is NULL (required for a
+/// kNull-typed column with rows) — then its cells, with no per-cell tag:
+///   kInt64 / kDouble: nrows x 8 little-endian bytes, NULL slots included
+///                     (their bytes are ignored);
+///   kString:          u32 length + bytes per non-null cell;
+///   kIntArray:        a storage rid-list payload per non-null cell
+///                     (EncodeRidList; compressed cells ship their blob);
+///   kNull:            nothing.
+/// The decoder copies fixed-width columns straight into Column storage,
+/// and the table it returns is identical to appending the same rows one at
+/// a time.
 void EncodeTable(const minidb::Table& table, storage::Encoder* enc);
 Result<minidb::Table> DecodeTable(storage::Decoder* dec);
 

@@ -6,6 +6,10 @@
 #include <memory>
 #include <utility>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 #include "common/ridset.h"
 #include "common/string_util.h"
 
@@ -28,14 +32,64 @@ std::array<uint32_t, 256> MakeCrc32cTable() {
 
 }  // namespace
 
-uint32_t Crc32c(std::string_view data) {
+namespace crc32c_internal {
+
+uint32_t ExtendPortable(uint32_t crc, std::string_view data) {
   static const std::array<uint32_t, 256> kTable = MakeCrc32cTable();
-  uint32_t crc = 0xFFFFFFFF;
+  crc = ~crc;
   for (unsigned char c : data) {
     crc = (crc >> 8) ^ kTable[(crc ^ c) & 0xFF];
   }
-  return crc ^ 0xFFFFFFFF;
+  return ~crc;
 }
+
+#if defined(__x86_64__)
+
+bool HardwareAvailable() {
+  static const bool available = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return available;
+}
+
+__attribute__((target("sse4.2"))) uint32_t ExtendHardware(
+    uint32_t crc, std::string_view data) {
+  const char* p = data.data();
+  size_t n = data.size();
+  uint64_t c = ~crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    c = _mm_crc32_u64(c, word);
+  }
+  uint32_t c32 = static_cast<uint32_t>(c);
+  for (; n > 0; ++p, --n) {
+    c32 = _mm_crc32_u8(c32, static_cast<unsigned char>(*p));
+  }
+  return ~c32;
+}
+
+#else
+
+bool HardwareAvailable() { return false; }
+
+uint32_t ExtendHardware(uint32_t crc, std::string_view data) {
+  return ExtendPortable(crc, data);
+}
+
+#endif
+
+}  // namespace crc32c_internal
+
+uint32_t Crc32cExtend(uint32_t crc, std::string_view data) {
+  static uint32_t (*const extend)(uint32_t, std::string_view) =
+      crc32c_internal::HardwareAvailable() ? crc32c_internal::ExtendHardware
+                                           : crc32c_internal::ExtendPortable;
+  return extend(crc, data);
+}
+
+uint32_t Crc32c(std::string_view data) { return Crc32cExtend(0, data); }
 
 uint32_t HeaderCrc(std::string_view magic, uint32_t version, uint64_t seq) {
   Encoder enc;
@@ -127,6 +181,26 @@ Result<double> Decoder::GetDouble() {
   return v;
 }
 
+Result<std::string_view> Decoder::GetBytes(size_t n) {
+  if (data_.size() - pos_ < n) return Truncated("bytes", n);
+  std::string_view bytes = data_.substr(pos_, n);
+  pos_ += n;
+  return bytes;
+}
+
+Result<uint32_t> Decoder::GetCount(size_t min_bytes, const char* what) {
+  const uint64_t count_offset = base_ + pos_;
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t count, GetU32());
+  const uint64_t need = static_cast<uint64_t>(count) * min_bytes;
+  if (need > data_.size() - pos_) {
+    return Status::DataLoss(StrFormat(
+        "%s count %u at offset %llu needs at least %llu bytes, %zu left",
+        what, count, static_cast<unsigned long long>(count_offset),
+        static_cast<unsigned long long>(need), data_.size() - pos_));
+  }
+  return count;
+}
+
 Result<std::string> Decoder::GetString() {
   ORPHEUS_ASSIGN_OR_RETURN(uint32_t len, GetU32());
   if (data_.size() - pos_ < len) return Truncated("string payload", len);
@@ -139,16 +213,53 @@ Result<std::string> Decoder::GetString() {
 // Frames
 // ---------------------------------------------------------------------------
 
-void AppendFrame(std::string* out, FrameType type, std::string_view payload) {
+namespace {
+
+uint32_t FrameCrc(uint8_t type, std::string_view payload) {
+  const char type_byte = static_cast<char>(type);
+  return Crc32cExtend(Crc32c(std::string_view(&type_byte, 1)), payload);
+}
+
+}  // namespace
+
+std::string EncodeFrameHeader(FrameType type, std::string_view payload) {
   Encoder header;
   header.PutU32(static_cast<uint32_t>(payload.size()));
-  std::string checked;
-  checked.reserve(1 + payload.size());
-  checked.push_back(static_cast<char>(type));
-  checked.append(payload.data(), payload.size());
-  header.PutU32(Crc32c(checked));
-  out->append(header.data());
-  out->append(checked);
+  header.PutU32(FrameCrc(static_cast<uint8_t>(type), payload));
+  header.PutU8(static_cast<uint8_t>(type));
+  return header.Take();
+}
+
+void AppendFrame(std::string* out, FrameType type, std::string_view payload) {
+  out->reserve(out->size() + kFrameHeaderSize + payload.size());
+  out->append(EncodeFrameHeader(type, payload));
+  out->append(payload.data(), payload.size());
+}
+
+FrameHeader DecodeFrameHeader(std::string_view bytes) {
+  Decoder dec(bytes.substr(0, kFrameHeaderSize));
+  FrameHeader header;
+  // Cannot fail: the caller hands over at least kFrameHeaderSize bytes.
+  header.payload_size = dec.GetU32().ValueOrDie();
+  header.crc = dec.GetU32().ValueOrDie();
+  header.type = dec.GetU8().ValueOrDie();
+  return header;
+}
+
+Status CheckFrame(const FrameHeader& header, std::string_view payload,
+                  uint64_t frame_offset, size_t trailing_bytes,
+                  bool* torn_tail) {
+  *torn_tail = false;
+  if (FrameCrc(header.type, payload) == header.crc) return Status::OK();
+  if (trailing_bytes == 0) {
+    *torn_tail = true;
+    return Status::OK();
+  }
+  return Status::DataLoss(StrFormat(
+      "checksum mismatch in frame at offset %llu (%u-byte payload, "
+      "followed by %zu more bytes)",
+      static_cast<unsigned long long>(frame_offset), header.payload_size,
+      trailing_bytes));
 }
 
 Status ReadFrame(std::string_view data, uint64_t base_offset, size_t* pos,
@@ -160,30 +271,19 @@ Status ReadFrame(std::string_view data, uint64_t base_offset, size_t* pos,
     *torn_tail = true;  // header itself is incomplete
     return Status::OK();
   }
-  Decoder header(data.substr(*pos, 8), frame_offset);
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t payload_size, header.GetU32());
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t stored_crc, header.GetU32());
-  const size_t frame_size = kFrameHeaderSize + payload_size;
+  const FrameHeader header = DecodeFrameHeader(data.substr(*pos));
+  const size_t frame_size = kFrameHeaderSize + header.payload_size;
   if (avail < frame_size) {
     *torn_tail = true;  // payload extends past EOF
     return Status::OK();
   }
-  std::string_view checked = data.substr(*pos + 8, 1 + payload_size);
-  if (Crc32c(checked) != stored_crc) {
-    if (avail == frame_size) {
-      // Bad checksum on the very last frame: indistinguishable from an
-      // interrupted append — treat as torn tail.
-      *torn_tail = true;
-      return Status::OK();
-    }
-    return Status::DataLoss(StrFormat(
-        "checksum mismatch in frame at offset %llu (%u-byte payload, "
-        "followed by %zu more bytes)",
-        static_cast<unsigned long long>(frame_offset), payload_size,
-        avail - frame_size));
-  }
-  frame->type = static_cast<FrameType>(checked[0]);
-  frame->payload = checked.substr(1);
+  const std::string_view payload =
+      data.substr(*pos + kFrameHeaderSize, header.payload_size);
+  ORPHEUS_RETURN_NOT_OK(CheckFrame(header, payload, frame_offset,
+                                   avail - frame_size, torn_tail));
+  if (*torn_tail) return Status::OK();
+  frame->type = static_cast<FrameType>(header.type);
+  frame->payload = payload;
   frame->offset = frame_offset;
   *pos += frame_size;
   return Status::OK();
@@ -192,6 +292,22 @@ Status ReadFrame(std::string_view data, uint64_t base_offset, size_t* pos,
 // ---------------------------------------------------------------------------
 // Values
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// EncodeRidList for a list already held compressed: the same bytes as
+/// EncodeRidList(set.ToVector()). Only lists long enough for EncodeRidList
+/// to pack ship the blob, so the bytes stay a function of the contents.
+void EncodeRidSet(const RidSet& set, Encoder* enc) {
+  if (set.size() >= RidSet::kMinCompressElems) {
+    enc->PutU8(1);
+    enc->PutString(set.SerializeBlob());
+  } else {
+    EncodeRidList(set.Materialized(), enc);
+  }
+}
+
+}  // namespace
 
 void EncodeValue(const minidb::Value& value, Encoder* enc) {
   enc->PutU8(static_cast<uint8_t>(value.type()));
@@ -207,20 +323,13 @@ void EncodeValue(const minidb::Value& value, Encoder* enc) {
     case minidb::ValueType::kString:
       enc->PutString(value.AsString());
       break;
-    case minidb::ValueType::kIntArray: {
-      // Already-compressed cells serialize their canonical containers
-      // directly; plain vectors go through EncodeRidList, which rebuilds
-      // the same canonical form when eligible. Either way the bytes are a
-      // function of the list contents alone.
-      if (const auto* set = value.TryRidSet();
-          set && (*set)->size() >= RidSet::kMinCompressElems) {
-        enc->PutU8(1);
-        enc->PutString((*set)->SerializeBlob());
+    case minidb::ValueType::kIntArray:
+      if (const auto* set = value.TryRidSet()) {
+        EncodeRidSet(**set, enc);
       } else {
         EncodeRidList(value.AsIntArray(), enc);
       }
       break;
-    }
   }
 }
 
@@ -241,39 +350,49 @@ Result<minidb::Value> DecodeValue(Decoder* dec) {
       ORPHEUS_ASSIGN_OR_RETURN(std::string v, dec->GetString());
       return minidb::Value(std::move(v));
     }
-    case minidb::ValueType::kIntArray: {
-      // Peek the rid-list tag: packed blobs become compressed cells without
-      // a decompression round-trip when the gate is on.
-      const uint64_t tag_offset = dec->file_offset();
-      ORPHEUS_ASSIGN_OR_RETURN(uint8_t packed, dec->GetU8());
-      if (packed == 1) {
-        ORPHEUS_ASSIGN_OR_RETURN(std::string blob, dec->GetString());
-        ORPHEUS_ASSIGN_OR_RETURN(RidSet set, RidSet::DeserializeBlob(blob));
-        if (RidSetEnabled()) {
-          return minidb::Value(
-              std::make_shared<const RidSet>(std::move(set)));
-        }
-        return minidb::Value(set.ToVector());
-      }
-      if (packed != 0) {
-        return Status::DataLoss(StrFormat(
-            "unknown rid-list tag %d at offset %llu",
-            static_cast<int>(packed),
-            static_cast<unsigned long long>(tag_offset)));
-      }
-      ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
-      std::vector<int64_t> arr;
-      arr.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        ORPHEUS_ASSIGN_OR_RETURN(int64_t v, dec->GetI64());
-        arr.push_back(v);
-      }
-      return minidb::Value(std::move(arr));
-    }
+    case minidb::ValueType::kIntArray:
+      return DecodeIntArray(dec);
   }
   return Status::DataLoss(StrFormat(
       "unknown value type tag %d at offset %llu", static_cast<int>(tag),
       static_cast<unsigned long long>(dec->file_offset())));
+}
+
+Result<minidb::Value> DecodeIntArray(Decoder* dec) {
+  // Peek the rid-list tag: packed blobs become compressed cells without a
+  // decompression round-trip when the gate is on.
+  const uint64_t tag_offset = dec->file_offset();
+  ORPHEUS_ASSIGN_OR_RETURN(uint8_t packed, dec->GetU8());
+  if (packed == 1) {
+    ORPHEUS_ASSIGN_OR_RETURN(std::string blob, dec->GetString());
+    ORPHEUS_ASSIGN_OR_RETURN(RidSet set, RidSet::DeserializeBlob(blob));
+    if (RidSetEnabled()) {
+      return minidb::Value(std::make_shared<const RidSet>(std::move(set)));
+    }
+    return minidb::Value(set.ToVector());
+  }
+  if (packed != 0) {
+    return Status::DataLoss(StrFormat(
+        "unknown rid-list tag %d at offset %llu", static_cast<int>(packed),
+        static_cast<unsigned long long>(tag_offset)));
+  }
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, dec->GetCount(8, "int-array"));
+  std::vector<int64_t> arr;
+  arr.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    ORPHEUS_ASSIGN_OR_RETURN(int64_t v, dec->GetI64());
+    arr.push_back(v);
+  }
+  return minidb::Value(std::move(arr));
+}
+
+void EncodeIntArrayCell(const minidb::Column& col, size_t row,
+                        Encoder* enc) {
+  if (const auto& set = col.GetRidSet(row)) {
+    EncodeRidSet(*set, enc);
+  } else {
+    EncodeRidList(col.GetIntArray(row), enc);
+  }
 }
 
 void EncodeRidList(const std::vector<int64_t>& rids, Encoder* enc) {
@@ -300,7 +419,7 @@ Result<std::vector<int64_t>> DecodeRidList(Decoder* dec) {
         "unknown rid-list tag %d at offset %llu", static_cast<int>(tag),
         static_cast<unsigned long long>(tag_offset)));
   }
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, dec->GetCount(8, "rid-list"));
   std::vector<int64_t> rids;
   rids.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -315,6 +434,14 @@ Result<std::vector<int64_t>> DecodeRidList(Decoder* dec) {
 // ---------------------------------------------------------------------------
 
 namespace {
+
+// Smallest encodings of the repeated domain elements, for GetCount.
+constexpr size_t kMinColumnDefBytes = 4 + 1;     // name, type
+constexpr size_t kMinAttributeBytes = 4 + 4 + 1; // id, name, type
+constexpr size_t kMinParentBytes = 4 + 8;        // parent vid, weight
+constexpr size_t kMinNewRecordBytes = 8 + 4;     // rid, row arity
+// vid, parent count, two clocks, message, author, attribute count, records.
+constexpr size_t kMinMetadataBytes = 4 + 4 + 8 + 8 + 4 + 4 + 4 + 8;
 
 void EncodeColumnDef(const minidb::ColumnDef& col, Encoder* enc) {
   enc->PutString(col.name);
@@ -378,7 +505,8 @@ void EncodeMetadata(const core::VersionMetadata& meta, Encoder* enc,
 Result<core::VersionMetadata> DecodeMetadata(Decoder* dec, uint32_t version) {
   core::VersionMetadata meta;
   ORPHEUS_ASSIGN_OR_RETURN(meta.vid, dec->GetI32());
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_parents, dec->GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_parents,
+                           dec->GetCount(4, "version parent"));
   meta.parents.reserve(num_parents);
   for (uint32_t i = 0; i < num_parents; ++i) {
     ORPHEUS_ASSIGN_OR_RETURN(core::VersionId p, dec->GetI32());
@@ -388,7 +516,8 @@ Result<core::VersionMetadata> DecodeMetadata(Decoder* dec, uint32_t version) {
   ORPHEUS_ASSIGN_OR_RETURN(meta.commit_time, GetClock(dec, version));
   ORPHEUS_ASSIGN_OR_RETURN(meta.message, dec->GetString());
   ORPHEUS_ASSIGN_OR_RETURN(meta.author, dec->GetString());
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_attrs, dec->GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_attrs,
+                           dec->GetCount(4, "version attribute"));
   meta.attributes.reserve(num_attrs);
   for (uint32_t i = 0; i < num_attrs; ++i) {
     ORPHEUS_ASSIGN_OR_RETURN(int a, dec->GetI32());
@@ -404,7 +533,8 @@ void EncodeRow(const minidb::Row& row, Encoder* enc) {
 }
 
 Result<minidb::Row> DecodeRow(Decoder* dec) {
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
+  // Every value carries at least its type tag.
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, dec->GetCount(1, "row value"));
   minidb::Row row;
   row.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -462,26 +592,30 @@ Result<core::CvdState> DecodeCvdState(Decoder* dec, uint32_t version) {
   ORPHEUS_ASSIGN_OR_RETURN(state.name, dec->GetString());
   ORPHEUS_ASSIGN_OR_RETURN(uint8_t model, dec->GetU8());
   state.model = static_cast<core::DataModelType>(model);
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_pk, dec->GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_pk,
+                           dec->GetCount(4, "primary-key column"));
   state.primary_key.reserve(num_pk);
   for (uint32_t i = 0; i < num_pk; ++i) {
     ORPHEUS_ASSIGN_OR_RETURN(std::string k, dec->GetString());
     state.primary_key.push_back(std::move(k));
   }
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_cols, dec->GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_cols,
+                           dec->GetCount(kMinColumnDefBytes, "column"));
   state.data_schema.reserve(num_cols);
   for (uint32_t i = 0; i < num_cols; ++i) {
     ORPHEUS_ASSIGN_OR_RETURN(minidb::ColumnDef col, DecodeColumnDef(dec));
     state.data_schema.push_back(std::move(col));
   }
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_attrs, dec->GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_attrs,
+                           dec->GetCount(kMinAttributeBytes, "attribute"));
   state.attributes.reserve(num_attrs);
   for (uint32_t i = 0; i < num_attrs; ++i) {
     ORPHEUS_ASSIGN_OR_RETURN(core::AttributeInfo attr,
                              DecodeAttributeInfo(dec));
     state.attributes.push_back(std::move(attr));
   }
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_cur, dec->GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_cur,
+                           dec->GetCount(4, "current attribute"));
   state.current_attr_ids.reserve(num_cur);
   for (uint32_t i = 0; i < num_cur; ++i) {
     ORPHEUS_ASSIGN_OR_RETURN(int id, dec->GetI32());
@@ -489,7 +623,8 @@ Result<core::CvdState> DecodeCvdState(Decoder* dec, uint32_t version) {
   }
   ORPHEUS_ASSIGN_OR_RETURN(state.next_rid, dec->GetI64());
   ORPHEUS_ASSIGN_OR_RETURN(state.logical_clock, GetClock(dec, version));
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_versions, dec->GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_versions,
+                           dec->GetCount(kMinMetadataBytes, "version"));
   state.metadata.reserve(num_versions);
   for (uint32_t i = 0; i < num_versions; ++i) {
     ORPHEUS_ASSIGN_OR_RETURN(core::VersionMetadata meta,
@@ -501,7 +636,8 @@ Result<core::CvdState> DecodeCvdState(Decoder* dec, uint32_t version) {
   state.version_rids.resize(num_versions);
   state.version_new_records.resize(num_versions);
   for (uint32_t v = 0; v < num_versions; ++v) {
-    ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_parents, dec->GetU32());
+    ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_parents,
+                             dec->GetCount(kMinParentBytes, "parent"));
     state.version_parents[v].reserve(num_parents);
     state.version_weights[v].reserve(num_parents);
     for (uint32_t i = 0; i < num_parents; ++i) {
@@ -513,7 +649,8 @@ Result<core::CvdState> DecodeCvdState(Decoder* dec, uint32_t version) {
       state.version_weights[v].push_back(w);
     }
     ORPHEUS_ASSIGN_OR_RETURN(state.version_rids[v], DecodeRidList(dec));
-    ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_new, dec->GetU32());
+    ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_new,
+                             dec->GetCount(kMinNewRecordBytes, "new record"));
     state.version_new_records[v].reserve(num_new);
     for (uint32_t i = 0; i < num_new; ++i) {
       ORPHEUS_ASSIGN_OR_RETURN(core::NewRecord rec, DecodeNewRecord(dec));
@@ -547,7 +684,8 @@ Result<core::CvdCommitRecord> DecodeCommitRecord(Decoder* dec,
                                                  uint32_t version) {
   core::CvdCommitRecord record;
   ORPHEUS_ASSIGN_OR_RETURN(record.vid, dec->GetI32());
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_parents, dec->GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_parents,
+                           dec->GetCount(kMinParentBytes, "parent"));
   record.parents.reserve(num_parents);
   record.parent_weights.reserve(num_parents);
   for (uint32_t i = 0; i < num_parents; ++i) {
@@ -559,27 +697,31 @@ Result<core::CvdCommitRecord> DecodeCommitRecord(Decoder* dec,
     record.parent_weights.push_back(w);
   }
   ORPHEUS_ASSIGN_OR_RETURN(record.rids, DecodeRidList(dec));
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_new, dec->GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_new,
+                           dec->GetCount(kMinNewRecordBytes, "new record"));
   record.new_records.reserve(num_new);
   for (uint32_t i = 0; i < num_new; ++i) {
     ORPHEUS_ASSIGN_OR_RETURN(core::NewRecord rec, DecodeNewRecord(dec));
     record.new_records.push_back(std::move(rec));
   }
   ORPHEUS_ASSIGN_OR_RETURN(record.metadata, DecodeMetadata(dec, version));
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_attrs, dec->GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_attrs,
+                           dec->GetCount(kMinAttributeBytes, "attribute"));
   record.new_attributes.reserve(num_attrs);
   for (uint32_t i = 0; i < num_attrs; ++i) {
     ORPHEUS_ASSIGN_OR_RETURN(core::AttributeInfo attr,
                              DecodeAttributeInfo(dec));
     record.new_attributes.push_back(std::move(attr));
   }
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_cur, dec->GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_cur,
+                           dec->GetCount(4, "current attribute"));
   record.current_attr_ids.reserve(num_cur);
   for (uint32_t i = 0; i < num_cur; ++i) {
     ORPHEUS_ASSIGN_OR_RETURN(int id, dec->GetI32());
     record.current_attr_ids.push_back(id);
   }
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_cols, dec->GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_cols,
+                           dec->GetCount(kMinColumnDefBytes, "column"));
   record.schema_after.reserve(num_cols);
   for (uint32_t i = 0; i < num_cols; ++i) {
     ORPHEUS_ASSIGN_OR_RETURN(minidb::ColumnDef col, DecodeColumnDef(dec));

@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "core/cvd.h"
+#include "minidb/column.h"
 
 namespace orpheus::storage {
 
@@ -34,9 +35,23 @@ inline constexpr uint32_t kFormatVersion = 3;
 /// Oldest format version the readers still understand.
 inline constexpr uint32_t kMinFormatVersion = 2;
 
-/// CRC32C (Castagnoli, the checksum RocksDB/ext4/iSCSI use), software
-/// table-driven. Crc32c("123456789") == 0xE3069283.
+/// CRC32C (Castagnoli, the checksum RocksDB/ext4/iSCSI use).
+/// Crc32c("123456789") == 0xE3069283. On x86-64 CPUs with SSE4.2 it runs on
+/// the `crc32` instruction, chosen once per process; elsewhere a
+/// table-driven loop computes the same values.
 uint32_t Crc32c(std::string_view data);
+
+/// Incremental form: Crc32cExtend(Crc32c(a), b) == Crc32c(a + b), and
+/// Crc32cExtend(0, b) == Crc32c(b).
+uint32_t Crc32cExtend(uint32_t crc, std::string_view data);
+
+/// The two Crc32cExtend implementations, exposed for the differential
+/// test. Call ExtendHardware only when HardwareAvailable().
+namespace crc32c_internal {
+uint32_t ExtendPortable(uint32_t crc, std::string_view data);
+bool HardwareAvailable();
+uint32_t ExtendHardware(uint32_t crc, std::string_view data);
+}  // namespace crc32c_internal
 
 /// Checksum of a snapshot/WAL file header (magic | version | seq). Stored
 /// in the header's formerly-reserved u32 at v3+, so a bit flip anywhere in
@@ -51,6 +66,7 @@ uint32_t HeaderCrc(std::string_view magic, uint32_t version, uint64_t seq);
 
 class Encoder {
  public:
+  void Reserve(size_t bytes) { buf_.reserve(buf_.size() + bytes); }
   void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
@@ -58,6 +74,8 @@ class Encoder {
   void PutI32(int32_t v) { PutU32(static_cast<uint32_t>(v)); }
   void PutDouble(double v);
   void PutString(std::string_view s);
+  /// Raw bytes, no length prefix.
+  void PutBytes(std::string_view bytes) { buf_.append(bytes); }
 
   const std::string& data() const { return buf_; }
   std::string Take() { return std::move(buf_); }
@@ -81,6 +99,12 @@ class Decoder {
   Result<int32_t> GetI32();
   Result<double> GetDouble();
   Result<std::string> GetString();
+  /// The next `n` raw bytes, as a view into the decoded buffer.
+  Result<std::string_view> GetBytes(size_t n);
+  /// A u32 element count that is about to size an allocation: DataLoss
+  /// unless `count` elements of at least `min_bytes` encoded bytes each fit
+  /// in the bytes left, so a corrupt count cannot demand gigabytes.
+  Result<uint32_t> GetCount(size_t min_bytes, const char* what);
 
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t pos() const { return pos_; }
@@ -111,6 +135,31 @@ enum class FrameType : uint8_t {
 inline constexpr size_t kFrameHeaderSize = 9;
 
 void AppendFrame(std::string* out, FrameType type, std::string_view payload);
+
+/// The kFrameHeaderSize bytes in front of `payload`, for writers that send
+/// the header and the payload without joining them.
+std::string EncodeFrameHeader(FrameType type, std::string_view payload);
+
+/// A parsed frame header. `type` is the raw byte: net messages use values
+/// outside FrameType's range.
+struct FrameHeader {
+  uint32_t payload_size = 0;
+  uint32_t crc = 0;
+  uint8_t type = 0;
+};
+
+/// Parse the first kFrameHeaderSize bytes of `bytes` (which must hold them).
+FrameHeader DecodeFrameHeader(std::string_view bytes);
+
+/// The checksum verdict on a frame whose payload is fully in hand, shared
+/// by ReadFrame and the network reader. On a match returns OK. On a
+/// mismatch: when `trailing_bytes` (what follows the frame in its
+/// container) is 0 the frame is the last thing written — indistinguishable
+/// from an interrupted append — so returns OK with `*torn_tail` = true;
+/// otherwise DataLoss at `frame_offset` (silent mid-file corruption).
+Status CheckFrame(const FrameHeader& header, std::string_view payload,
+                  uint64_t frame_offset, size_t trailing_bytes,
+                  bool* torn_tail);
 
 struct Frame {
   FrameType type = FrameType::kCvdState;
@@ -157,6 +206,15 @@ Result<minidb::Value> DecodeValue(Decoder* dec);
 /// ORPHEUS_RIDSET).
 void EncodeRidList(const std::vector<int64_t>& rids, Encoder* enc);
 Result<std::vector<int64_t>> DecodeRidList(Decoder* dec);
+
+/// Cell `row` of kIntArray column `col` in rid-list form (the bytes
+/// EncodeValue writes after the type tag). A compressed cell ships its
+/// canonical blob without a round-trip through a vector.
+void EncodeIntArrayCell(const minidb::Column& col, size_t row, Encoder* enc);
+
+/// A kIntArray cell in rid-list form: packed blobs become compressed cells
+/// when RidSetEnabled(), plain vectors otherwise.
+Result<minidb::Value> DecodeIntArray(Decoder* dec);
 
 }  // namespace orpheus::storage
 

@@ -19,7 +19,10 @@
 
 #include "common/failpoint.h"
 #include "common/log.h"
+#include "common/metrics.h"
+#include "common/random.h"
 #include "common/result.h"
+#include "common/ridset.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -35,6 +38,7 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "session/session.h"
+#include "storage/format.h"
 #include "storage/repository.h"
 
 namespace orpheus::net {
@@ -154,7 +158,7 @@ TEST_F(NetTest, RequestRoundtripWithTable) {
   Table staged("w", Schema({{"id", ValueType::kInt64},
                             {"name", ValueType::kString}}));
   ORPHEUS_CHECK_OK(staged.InsertRow({Value(int64_t{5}), Value("five")}));
-  req.table = std::make_unique<Table>(std::move(staged));
+  req.table.Lend(staged);
 
   auto decoded = DecodeRequest(EncodeRequest(req));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -167,9 +171,23 @@ TEST_F(NetTest, RequestRoundtripWithTable) {
   EXPECT_EQ(out.table_name, "w");
   EXPECT_EQ(out.message, "msg");
   EXPECT_EQ(out.author, "alice");
-  ASSERT_NE(out.table, nullptr);
-  EXPECT_EQ(out.table->num_rows(), 1u);
-  EXPECT_EQ(out.table->GetValue(0, 1).ToString(), "five");
+  ASSERT_NE(out.table.get(), nullptr);
+  EXPECT_EQ(out.table.get()->num_rows(), 1u);
+  EXPECT_EQ(out.table.get()->GetValue(0, 1).ToString(), "five");
+}
+
+TEST_F(NetTest, SetEncodedDeadlineRewritesOnlyTheDeadline) {
+  Request req;
+  req.op = Op::kCommit;
+  req.request_seq = 5;
+  req.sid = 2;
+  req.deadline_ms = 1;
+  req.table_name = "w";
+  req.message = "m";
+  std::string encoded = EncodeRequest(req);
+  SetEncodedDeadline(&encoded, 987654321);
+  req.deadline_ms = 987654321;
+  EXPECT_EQ(encoded, EncodeRequest(req));
 }
 
 TEST_F(NetTest, RequestRoundtripCheckout) {
@@ -260,6 +278,273 @@ TEST_F(NetTest, DecodeRejectsTruncatedPayload) {
 }
 
 // ---------------------------------------------------------------------------
+// Table codec
+// ---------------------------------------------------------------------------
+
+/// Restores the RidSet gate on scope exit.
+struct RidSetGate {
+  explicit RidSetGate(bool on) : saved(RidSetEnabled()) {
+    SetRidSetEnabled(on);
+  }
+  ~RidSetGate() { SetRidSetEnabled(saved); }
+  RidSetGate(const RidSetGate&) = delete;
+  RidSetGate& operator=(const RidSetGate&) = delete;
+  bool saved;
+};
+
+std::vector<int64_t> Iota(int64_t from, int64_t n) {
+  std::vector<int64_t> v(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = from + i;
+  return v;
+}
+
+/// Every ValueType, a NULL in each column, and int-array cells that are
+/// compressed, plain-but-compressible, short and unsorted.
+Table MakeEveryTypeTable() {
+  Table t("every", Schema({{"i", ValueType::kInt64},
+                           {"d", ValueType::kDouble},
+                           {"s", ValueType::kString},
+                           {"a", ValueType::kIntArray},
+                           {"n", ValueType::kNull}}));
+  auto set = RidSet::TryFromVector(Iota(100, 40));
+  const std::vector<Value> arrays = {
+      Value(set), Value(Iota(7, 30)), Value(std::vector<int64_t>{3, 1, 2}),
+      Value(std::vector<int64_t>{}), Value::Null()};
+  for (int r = 0; r < 11; ++r) {
+    const bool null_row = r % 5 == 4;
+    t.AppendRowUnchecked(
+        {null_row ? Value::Null() : Value(int64_t{r * 1000 - 7}),
+         r == 2 ? Value::Null() : Value(r * 0.25),
+         r == 3 ? Value::Null() : Value(std::to_string(r * 7)),
+         arrays[static_cast<size_t>(r) % arrays.size()], Value::Null()});
+  }
+  // A NULL written over a value keeps its old bytes in the slot; the
+  // codec must still decode a clean NULL.
+  t.mutable_column(0).SetValue(1, Value::Null());
+  return t;
+}
+
+/// The table N row appends give: each value through the storage row codec
+/// (the pre-columnar wire format), appended one row at a time.
+Table RowAppendOracle(const Table& src) {
+  Table out(src.name(), src.schema());
+  for (uint32_t r = 0; r < src.num_rows(); ++r) {
+    minidb::Row row;
+    for (size_t c = 0; c < src.num_columns(); ++c) {
+      storage::Encoder enc;
+      storage::EncodeValue(src.GetValue(r, c), &enc);
+      storage::Decoder dec(enc.data());
+      row.push_back(storage::DecodeValue(&dec).MoveValueOrDie());
+    }
+    out.AppendRowUnchecked(row);
+  }
+  return out;
+}
+
+void ExpectIdenticalTables(const Table& got, const Table& want) {
+  ASSERT_EQ(got.name(), want.name());
+  ASSERT_EQ(got.num_columns(), want.num_columns());
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    const minidb::Column& g = got.column(c);
+    const minidb::Column& w = want.column(c);
+    EXPECT_EQ(got.schema().columns()[c].name, want.schema().columns()[c].name);
+    ASSERT_EQ(g.type(), w.type()) << "column " << c;
+    ASSERT_EQ(g.size(), w.size()) << "column " << c;
+    // Equal storage bytes also means equal validity-bitmap allocation.
+    EXPECT_EQ(g.StorageBytes(), w.StorageBytes()) << "column " << c;
+    for (uint32_t r = 0; r < want.num_rows(); ++r) {
+      EXPECT_EQ(g.IsNull(r), w.IsNull(r)) << "cell " << r << "," << c;
+      EXPECT_EQ(g.GetValue(r), w.GetValue(r)) << "cell " << r << "," << c;
+      if (w.type() == ValueType::kInt64) {
+        EXPECT_EQ(g.int_data()[r], w.int_data()[r]) << "slot " << r;
+      }
+      if (w.type() == ValueType::kIntArray && !w.IsNull(r)) {
+        EXPECT_EQ(g.GetRidSet(r) != nullptr, w.GetRidSet(r) != nullptr)
+            << "array representation at row " << r;
+      }
+    }
+  }
+}
+
+Result<Table> TableRoundTrip(const Table& table) {
+  storage::Encoder enc;
+  EncodeTable(table, &enc);
+  storage::Decoder dec(enc.data());
+  ORPHEUS_ASSIGN_OR_RETURN(Table out, DecodeTable(&dec));
+  if (!dec.AtEnd()) return Status::Internal("trailing bytes after a table");
+  return out;
+}
+
+TEST_F(NetTest, TableCodecMatchesRowAppendsForEveryType) {
+  for (bool gate : {true, false}) {
+    SCOPED_TRACE(gate ? "ORPHEUS_RIDSET on" : "ORPHEUS_RIDSET off");
+    RidSetGate guard(gate);
+    Table src = MakeEveryTypeTable();
+    auto decoded = TableRoundTrip(src);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ExpectIdenticalTables(decoded.ValueOrDie(), RowAppendOracle(src));
+  }
+}
+
+TEST_F(NetTest, TableCodecRoundTripsEmptyTables) {
+  Table no_rows = MakeEveryTypeTable().CopyRows({}, "no_rows");
+  auto decoded = TableRoundTrip(no_rows);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectIdenticalTables(decoded.ValueOrDie(), RowAppendOracle(no_rows));
+
+  Table no_cols("no_cols", Schema(std::vector<minidb::ColumnDef>{}));
+  decoded = TableRoundTrip(no_cols);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.ValueOrDie().num_columns(), 0u);
+}
+
+TEST_F(NetTest, TableCodecDropsTheCellTypeTag) {
+  Table t("ints", Schema({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}}));
+  for (int64_t r = 0; r < 100; ++r) t.AppendIntRowUnchecked({r, -r});
+  storage::Encoder enc;
+  EncodeTable(t, &enc);
+  // name, 2 column defs, row count, then per column a flag + 8 B/cell.
+  EXPECT_EQ(enc.data().size(),
+            (4 + 4) + 4 + 2 * (4 + 1 + 1) + 4 + 2 * (1 + 100 * 8));
+}
+
+/// A kCommit request and a kCheckout response, both carrying the
+/// every-type table.
+std::vector<std::pair<std::string, std::string>> TableBearingMessages(
+    const Table& table) {
+  Request req;
+  req.op = Op::kCommit;
+  req.request_seq = 17;
+  req.sid = 3;
+  req.table_name = table.name();
+  req.message = "m";
+  req.table.Lend(table);
+  Response resp;
+  resp.request_seq = 17;
+  resp.op = Op::kCheckout;
+  resp.table.Lend(table);
+  return {{"request", EncodeRequest(req)}, {"response", EncodeResponse(resp)}};
+}
+
+Status DecodeMessage(const std::string& kind, std::string_view bytes) {
+  if (kind == "request") return DecodeRequest(bytes).status();
+  return DecodeResponse(bytes).status();
+}
+
+TEST_F(NetTest, TableBearingMessagesRejectEveryTruncation) {
+  Table table = MakeEveryTypeTable();
+  for (const auto& [kind, encoded] : TableBearingMessages(table)) {
+    ASSERT_TRUE(DecodeMessage(kind, encoded).ok()) << kind;
+    for (size_t cut = 0; cut < encoded.size(); ++cut) {
+      EXPECT_FALSE(DecodeMessage(kind, encoded.substr(0, cut)).ok())
+          << kind << " truncated to " << cut << " bytes decoded";
+    }
+  }
+}
+
+TEST_F(NetTest, TableBearingMessagesSurviveBitFlips) {
+  Table table = MakeEveryTypeTable();
+  Xorshift rng(20240611);
+  for (bool gate : {true, false}) {
+    RidSetGate guard(gate);
+    for (const auto& [kind, encoded] : TableBearingMessages(table)) {
+      int decoded_ok = 0;
+      for (int trial = 0; trial < 4000; ++trial) {
+        std::string mutated = encoded;
+        const int flips = 1 + static_cast<int>(rng.Uniform(3));
+        for (int f = 0; f < flips; ++f) {
+          const size_t bit = rng.Uniform(mutated.size() * 8);
+          mutated[bit / 8] = static_cast<char>(mutated[bit / 8] ^
+                                               (1 << (bit % 8)));
+        }
+        // Decode or refuse: never throw, crash or over-allocate.
+        if (DecodeMessage(kind, mutated).ok()) ++decoded_ok;
+      }
+      // Most flips land in cell bytes, which any value decodes from.
+      EXPECT_GT(decoded_ok, 0) << kind;
+    }
+  }
+}
+
+// A count read off the wire sizes an allocation only once the bytes for
+// that many elements are known to be there.
+TEST_F(NetTest, DecodeRejectsImpossibleVidCount) {
+  storage::Encoder enc;
+  enc.PutU8(static_cast<uint8_t>(Op::kCheckout));
+  enc.PutU64(1);  // request_seq
+  enc.PutU64(0);  // acked_seq
+  enc.PutU64(1);  // sid
+  enc.PutI64(0);  // deadline_ms
+  enc.PutString("");
+  enc.PutString("w");
+  enc.PutU32(0xFFFFFFFFu);  // vids
+  enc.PutU32(0);
+  auto decoded = DecodeRequest(enc.data());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsDataLoss()) << decoded.status().ToString();
+}
+
+storage::Encoder OkResponseHeader(Op op) {
+  storage::Encoder enc;
+  enc.PutU64(1);   // request_seq
+  enc.PutU8(0);    // code
+  enc.PutU8(0);    // retryable
+  enc.PutString("");
+  enc.PutU8(static_cast<uint8_t>(op));
+  return enc;
+}
+
+TEST_F(NetTest, DecodeRejectsImpossibleConflictCount) {
+  storage::Encoder enc = OkResponseHeader(Op::kCommit);
+  enc.PutI32(1);
+  enc.PutI32(0);
+  enc.PutI32(0);
+  enc.PutU8(0);
+  enc.PutU32(0xFFFFFFFFu);  // conflicts
+  auto decoded = DecodeResponse(enc.data());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsDataLoss()) << decoded.status().ToString();
+}
+
+TEST_F(NetTest, DecodeRejectsImpossibleColumnCount) {
+  storage::Encoder enc = OkResponseHeader(Op::kCheckout);
+  enc.PutString("t");
+  enc.PutU32(0xFFFFFFFFu);  // columns
+  auto decoded = DecodeResponse(enc.data());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsDataLoss()) << decoded.status().ToString();
+}
+
+TEST_F(NetTest, DecodeRejectsImpossibleCvdCount) {
+  storage::Encoder enc = OkResponseHeader(Op::kLs);
+  enc.PutU32(0xFFFFFFFFu);  // cvds
+  auto decoded = DecodeResponse(enc.data());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsDataLoss()) << decoded.status().ToString();
+}
+
+TEST_F(NetTest, DecodeRejectsImpossibleRowCount) {
+  for (ValueType type : {ValueType::kInt64, ValueType::kDouble,
+                         ValueType::kString, ValueType::kIntArray,
+                         ValueType::kNull}) {
+    storage::Encoder enc = OkResponseHeader(Op::kCheckout);
+    enc.PutString("t");
+    enc.PutU32(1);
+    enc.PutString("c");
+    enc.PutU8(static_cast<uint8_t>(type));
+    enc.PutU32(0xFFFFFFFFu);  // rows
+    enc.PutU8(0);             // no null bitmap
+    enc.PutU32(0);
+    auto decoded = DecodeResponse(enc.data());
+    ASSERT_FALSE(decoded.ok()) << minidb::ValueTypeName(type);
+    EXPECT_TRUE(decoded.status().IsDataLoss())
+        << minidb::ValueTypeName(type) << ": "
+        << decoded.status().ToString();
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Handshake
 // ---------------------------------------------------------------------------
 
@@ -268,26 +553,30 @@ TEST_F(NetTest, HandshakeRejectsVersionMismatch) {
   options.listen = "unix:" + MakeTempDir() + "/sock";
   auto server = StartMemoryServer(options);
 
-  auto connected =
-      Socket::Connect(server->address(), Deadline::AfterMillis(2000));
-  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
-  Socket sock = connected.MoveValueOrDie();
-  Hello hello;
-  hello.magic = kNetMagic;
-  hello.protocol_version = 99;
-  hello.client_uuid = "future-client";
-  ORPHEUS_CHECK_OK(SendMessage(&sock, MsgType::kHello, EncodeHello(hello),
-                               Deadline::AfterMillis(2000)));
-  MsgType type;
-  std::string payload;
-  ORPHEUS_CHECK_OK(
-      RecvMessage(&sock, &type, &payload, Deadline::AfterMillis(2000)));
-  ASSERT_EQ(type, MsgType::kHelloAck);
-  auto ack = DecodeHelloAck(payload);
-  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
-  EXPECT_EQ(ack.ValueOrDie().code,
-            static_cast<uint8_t>(StatusCode::kNotSupported));
-  EXPECT_NE(ack.ValueOrDie().message.find("version"), std::string::npos);
+  // v1 clients speak the row-major table codec; 99 is from the future.
+  for (uint32_t version : {1u, 99u}) {
+    auto connected =
+        Socket::Connect(server->address(), Deadline::AfterMillis(2000));
+    ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+    Socket sock = connected.MoveValueOrDie();
+    Hello hello;
+    hello.magic = kNetMagic;
+    hello.protocol_version = version;
+    hello.client_uuid = "other-version-client";
+    ORPHEUS_CHECK_OK(SendMessage(&sock, MsgType::kHello, EncodeHello(hello),
+                                 Deadline::AfterMillis(2000)));
+    MsgType type;
+    std::string payload;
+    ORPHEUS_CHECK_OK(
+        RecvMessage(&sock, &type, &payload, Deadline::AfterMillis(2000)));
+    ASSERT_EQ(type, MsgType::kHelloAck);
+    auto ack = DecodeHelloAck(payload);
+    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+    EXPECT_EQ(ack.ValueOrDie().code,
+              static_cast<uint8_t>(StatusCode::kNotSupported))
+        << "v" << version;
+    EXPECT_NE(ack.ValueOrDie().message.find("version"), std::string::npos);
+  }
 }
 
 TEST_F(NetTest, HandshakeRejectsBadMagic) {
@@ -371,6 +660,34 @@ TEST_F(NetTest, LifecycleOverUnixSocket) {
 }
 
 TEST_F(NetTest, LifecycleOverLoopbackTcp) { RunLifecycle("tcp:0"); }
+
+// Both ends of a call record their wire stages as named children, so a
+// remote checkout's cost beyond the session splits by stage.
+TEST_F(NetTest, WireStagesAreSpanned) {
+  if (!MetricsEnabled()) GTEST_SKIP() << "metrics disabled via env/build";
+  ServerOptions options;
+  options.listen = "unix:" + MakeTempDir() + "/sock";
+  auto server = StartMemoryServer(options);
+  auto client = Client::Connect(server->address(), FastClientOptions(3));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto opened = client.ValueOrDie()->Open("t");
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ASSERT_TRUE(client.ValueOrDie()->Checkout(opened.ValueOrDie().sid, {1}, "w")
+                  .ok());
+  server->Stop();  // joins the handler, closing its spans
+
+  std::set<std::string> paths;
+  for (const auto& span : MetricsRegistry::Global().TakeSnapshot().spans) {
+    paths.insert(span.path);
+  }
+  for (const char* path :
+       {"net.client.rpc/encode", "net.client.rpc/send", "net.client.rpc/recv",
+        "net.client.rpc/decode", "net.server.request/decode",
+        "net.server.request/dispatch", "net.server.request/encode",
+        "net.server.request/send"}) {
+    EXPECT_EQ(paths.count(path), 1u) << path;
+  }
+}
 
 TEST_F(NetTest, ListenerRejectsNonLoopbackTcp) {
   EXPECT_FALSE(Listener::Listen("tcp:8.8.8.8:1234").ok());

@@ -158,6 +158,88 @@ TEST(FormatTest, Crc32cKnownVector) {
   EXPECT_EQ(Crc32c("123456789"), 0xE3069283u);
   EXPECT_EQ(Crc32c(""), 0u);
   EXPECT_NE(Crc32c("123456789"), Crc32c("123456780"));
+  EXPECT_EQ(crc32c_internal::ExtendPortable(0, "123456789"), 0xE3069283u);
+  if (crc32c_internal::HardwareAvailable()) {
+    EXPECT_EQ(crc32c_internal::ExtendHardware(0, "123456789"), 0xE3069283u);
+  }
+}
+
+// The instruction path and the table loop agree on every length 0..1024
+// at every start alignment, one-shot and split at any point.
+TEST(FormatTest, Crc32cHardwareMatchesPortable) {
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no CRC32C instruction on this CPU";
+  }
+  std::string buf(1024 + 8, '\0');
+  uint64_t x = 0x9E3779B97F4A7C15ULL;
+  for (char& c : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    c = static_cast<char>(x);
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const std::string_view data(buf.data() + align, len);
+      const uint32_t want = crc32c_internal::ExtendPortable(0, data);
+      ASSERT_EQ(crc32c_internal::ExtendHardware(0, data), want)
+          << "len " << len << " align " << align;
+      ASSERT_EQ(Crc32c(data), want);
+      const uint32_t seed = static_cast<uint32_t>(len * 2654435761u);
+      ASSERT_EQ(crc32c_internal::ExtendHardware(seed, data),
+                crc32c_internal::ExtendPortable(seed, data));
+    }
+  }
+}
+
+TEST(FormatTest, Crc32cExtendMatchesOneShot) {
+  const std::string data = "the quick brown fox jumps over the lazy dog 0123";
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const std::string_view head(data.data(), split);
+    const std::string_view tail(data.data() + split, data.size() - split);
+    EXPECT_EQ(Crc32cExtend(Crc32c(head), tail), Crc32c(data)) << split;
+    EXPECT_EQ(crc32c_internal::ExtendPortable(
+                  crc32c_internal::ExtendPortable(0, head), tail),
+              Crc32c(data))
+        << split;
+  }
+  EXPECT_EQ(Crc32cExtend(0, data), Crc32c(data));
+}
+
+// A count read from disk sizes an allocation only once the bytes for that
+// many elements are known to be there.
+TEST(FormatTest, DecodersRejectImpossibleCounts) {
+  {
+    Encoder enc;
+    enc.PutU8(0);  // raw rid list
+    enc.PutU32(0xFFFFFFFFu);
+    Decoder dec(enc.data());
+    EXPECT_TRUE(DecodeRidList(&dec).status().IsDataLoss());
+  }
+  {
+    Encoder enc;
+    enc.PutU8(static_cast<uint8_t>(ValueType::kIntArray));
+    enc.PutU8(0);  // raw int-array cell
+    enc.PutU32(0xFFFFFFFFu);
+    Decoder dec(enc.data());
+    EXPECT_TRUE(DecodeValue(&dec).status().IsDataLoss());
+  }
+  {
+    Encoder enc;
+    enc.PutString("cvd");
+    enc.PutU8(0);            // model
+    enc.PutU32(0xFFFFFFFFu);  // primary-key columns
+    Decoder dec(enc.data());
+    EXPECT_TRUE(DecodeCvdState(&dec, kFormatVersion).status().IsDataLoss());
+  }
+  {
+    Encoder enc;
+    enc.PutI32(2);            // vid
+    enc.PutU32(0xFFFFFFFFu);  // parents
+    Decoder dec(enc.data());
+    EXPECT_TRUE(
+        DecodeCommitRecord(&dec, kFormatVersion).status().IsDataLoss());
+  }
 }
 
 TEST(FormatTest, PrimitiveRoundtrip) {
