@@ -581,6 +581,7 @@ Result<CvdState> Cvd::ExportState() const {
 }
 
 Result<std::unique_ptr<Cvd>> Cvd::FromState(const CvdState& state) {
+  ORPHEUS_TRACE_SPAN("cvd.load");
   const size_t n = state.version_rids.size();
   if (state.version_parents.size() != n || state.version_weights.size() != n ||
       state.version_new_records.size() != n || state.metadata.size() != n) {
@@ -594,19 +595,30 @@ Result<std::unique_ptr<Cvd>> Cvd::FromState(const CvdState& state) {
   Options options;
   options.model = state.model;
   options.primary_key = state.primary_key;
-  // The backend is created directly at the final schema; replayed payloads
+  // The backend is created directly at the final schema; loaded payloads
   // are already padded to that width, so no AddAttribute replay is needed.
   std::unique_ptr<Cvd> cvd(
       new Cvd(state.name, options, Schema(state.data_schema)));
   cvd->attributes_ = state.attributes;  // overwrite ctor registrations
   cvd->current_attr_ids_ = state.current_attr_ids;
+  ORPHEUS_RETURN_NOT_OK(cvd->backend_->LoadVersions(
+      state.version_rids, state.version_new_records, state.version_parents));
+  size_t num_records = 0;
+  size_t num_members = 0;
   for (size_t v = 0; v < n; ++v) {
-    ORPHEUS_RETURN_NOT_OK(cvd->backend_->AddVersion(
-        static_cast<int>(v), state.version_rids[v],
-        state.version_new_records[v], state.version_parents[v]));
+    if (state.version_weights[v].size() != state.version_parents[v].size()) {
+      return Status::Corruption(StrFormat(
+          "v%zu of CVD %s has %zu parents but %zu edge weights", v,
+          state.name.c_str(), state.version_parents[v].size(),
+          state.version_weights[v].size()));
+    }
     cvd->graph_.AddVersion(state.version_parents[v], state.version_weights[v],
                            static_cast<int64_t>(state.version_rids[v].size()));
+    num_records += state.version_new_records[v].size();
+    num_members += state.version_rids[v].size();
   }
+  ORPHEUS_COUNTER_ADD("cvd.load.records", num_records);
+  ORPHEUS_COUNTER_ADD("cvd.load.version_records", num_members);
   cvd->metadata_ = state.metadata;
   cvd->next_rid_ = state.next_rid;
   cvd->logical_clock_ = state.logical_clock;

@@ -26,7 +26,7 @@ struct AttributeInfo {
 
 /// Logical snapshot of a whole CVD: everything needed to reconstruct an
 /// equivalent Cvd (bit-identical checkouts, identical future commits) by
-/// replaying AddVersion against a fresh backend. This is what the durable
+/// loading it into a fresh backend. This is what the durable
 /// repository (src/storage/) serializes; staging registrations are
 /// deliberately transient and not captured.
 struct CvdState {
@@ -168,9 +168,10 @@ class Cvd {
   /// Export the full logical state (snapshot serialization).
   Result<CvdState> ExportState() const;
 
-  /// Reconstruct a CVD from an exported state by replaying AddVersion
-  /// against a fresh backend. Checkouts of the result are bit-identical to
-  /// the original's.
+  /// Reconstruct a CVD from an exported state with one bulk
+  /// DataModelBackend::LoadVersions into a fresh backend. Checkouts of the
+  /// result are bit-identical to the original's. A state that breaks the
+  /// AddVersion contract (see LoadVersions) is rejected with Corruption.
   static Result<std::unique_ptr<Cvd>> FromState(const CvdState& state);
 
   /// Replay one logged commit (WAL recovery). The record must be the next

@@ -70,7 +70,210 @@ Status BadVersion(int vid) {
   return Status::NotFound(StrFormat("version %d not registered", vid));
 }
 
+// Bulk-load fills. Each appends one cell per record to its columns, in
+// record order, by the rules AppendRowUnchecked applies; the caller then
+// counts the rows with Table::CountAppendedRows.
+
+/// Rids to `rid_col` and field k to `fields[k]`. Walks each payload once,
+/// front to back, the way it lies in memory.
+void AppendRecords(const std::vector<const NewRecord*>& records,
+                   Column* rid_col, const std::vector<Column*>& fields) {
+  for (const NewRecord* rec : records) {
+    rid_col->AppendInt(rec->rid);
+    for (size_t k = 0; k < fields.size(); ++k) {
+      fields[k]->AppendValue(rec->data[k]);
+    }
+  }
+}
+
+/// Rows [_rid, fields...] of `table`, one per record.
+void AppendRecordRows(const std::vector<const NewRecord*>& records,
+                      Table* table) {
+  std::vector<Column*> fields;
+  for (size_t c = 1; c < table->num_columns(); ++c) {
+    fields.push_back(&table->mutable_column(c));
+  }
+  AppendRecords(records, &table->mutable_column(0), fields);
+}
+
+void AppendRids(const std::vector<const NewRecord*>& records, Column* col) {
+  for (const NewRecord* rec : records) col->AppendInt(rec->rid);
+}
+
 }  // namespace
+
+/// rid -> row map for the load checks: open addressing with linear
+/// probing over a power-of-two table at most two-thirds full, so a load
+/// pays about one probe per lookup and no allocation per record.
+class DataModelBackend::RowOfRid {
+ public:
+  explicit RowOfRid(size_t n) {
+    while ((size_t{1} << bits_) < n + n / 2) ++bits_;
+    slots_.assign(size_t{1} << bits_, Slot{0, kEmpty});
+  }
+
+  /// False if `rid` is already mapped.
+  bool Insert(RecordId rid, uint32_t row) {
+    for (size_t i = Home(rid);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i].row == kEmpty) {
+        slots_[i] = Slot{rid, row};
+        return true;
+      }
+      if (slots_[i].rid == rid) return false;
+    }
+  }
+
+  /// The row of `rid`, or kEmpty.
+  uint32_t Find(RecordId rid) const {
+    for (size_t i = Home(rid);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i].row == kEmpty || slots_[i].rid == rid) {
+        return slots_[i].row;
+      }
+    }
+  }
+
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+ private:
+  struct Slot {
+    RecordId rid;
+    uint32_t row;
+  };
+
+  // Rids are dense in practice, so their low bits alone place them without
+  // collisions, and a sorted membership probes the table front to back.
+  // Folding in the high bits keeps strided rid sets from piling up.
+  size_t Home(RecordId rid) const {
+    const auto key = static_cast<uint64_t>(rid);
+    return static_cast<size_t>(key ^ (key >> bits_)) & (slots_.size() - 1);
+  }
+
+  int bits_ = 4;
+  std::vector<Slot> slots_;
+};
+
+uint32_t DataModelBackend::CheckedLoad::RowOf(RecordId rid) const {
+  return row_of.Find(rid);
+}
+
+void DataModelBackend::AppendVlists(const CheckedLoad& load, Column* col) {
+  // Record r's ascending vids are vids[offsets[r] .. offsets[r + 1]).
+  const size_t num_records = load.records.size();
+  std::vector<size_t> offsets(num_records + 1, 0);
+  for (const std::vector<RecordId>& members : load.rids) {
+    for (RecordId rid : members) ++offsets[load.RowOf(rid) + 1];
+  }
+  for (size_t r = 0; r < num_records; ++r) offsets[r + 1] += offsets[r];
+  std::vector<int64_t> vids(offsets[num_records]);
+  std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (size_t v = 0; v < load.rids.size(); ++v) {
+    for (RecordId rid : load.rids[v]) {
+      vids[cursor[load.RowOf(rid)]++] = static_cast<int64_t>(v);
+    }
+  }
+  for (size_t r = 0; r < num_records; ++r) {
+    col->AppendIntArray(std::vector<int64_t>(vids.begin() + offsets[r],
+                                             vids.begin() + offsets[r + 1]));
+  }
+}
+
+Status DataModelBackend::LoadVersions(
+    const std::vector<std::vector<RecordId>>& rids,
+    const std::vector<std::vector<NewRecord>>& new_records,
+    const std::vector<std::vector<int>>& parents) {
+  const size_t n = rids.size();
+  if (new_records.size() != n || parents.size() != n) {
+    return Status::Corruption(StrFormat(
+        "history of %zu versions has %zu payload lists and %zu parent lists",
+        n, new_records.size(), parents.size()));
+  }
+  if (num_versions_ != 0) {
+    return Status::InvalidArgument("LoadVersions needs an empty backend");
+  }
+  size_t num_records = 0;
+  for (const std::vector<NewRecord>& fresh : new_records) {
+    num_records += fresh.size();
+  }
+  if (num_records >= RowOfRid::kEmpty) {
+    return Status::Corruption(
+        StrFormat("%zu records exceed the row limit", num_records));
+  }
+
+  // Payloads, in first-stored order: version v stored exactly the rows
+  // [stored_begin[v], stored_begin[v + 1]).
+  RowOfRid row_of(num_records);
+  CheckedLoad load{rids, new_records, parents, row_of, {}};
+  load.records.reserve(num_records);
+  std::vector<uint32_t> stored_begin(n + 1, 0);
+  const size_t width = data_schema_.num_columns();
+  for (size_t v = 0; v < n; ++v) {
+    for (int p : parents[v]) {
+      if (p < 0 || static_cast<size_t>(p) >= v) {
+        return Status::Corruption(StrFormat(
+            "v%zu names parent %d, which is not an earlier version", v, p));
+      }
+    }
+    stored_begin[v] = static_cast<uint32_t>(load.records.size());
+    for (const NewRecord& rec : new_records[v]) {
+      const long long rid = static_cast<long long>(rec.rid);
+      if (rec.data.size() != width) {
+        return Status::Corruption(
+            StrFormat("v%zu stores rid %lld with %zu fields, schema has %zu",
+                      v, rid, rec.data.size(), width));
+      }
+      if (!row_of.Insert(rec.rid,
+                         static_cast<uint32_t>(load.records.size()))) {
+        return Status::Corruption(StrFormat(
+            "v%zu stores rid %lld, which an earlier version already stored",
+            v, rid));
+      }
+      load.records.push_back(&rec);
+    }
+  }
+  stored_begin[n] = static_cast<uint32_t>(load.records.size());
+
+  // Memberships, one version per task: each member must resolve to a row
+  // stored by this or an earlier version, and the rows this version stored
+  // must all be members.
+  std::vector<Status> errors(n);
+  ParallelFor(0, n, 1, [&](size_t lo, size_t hi) {
+    for (size_t v = lo; v < hi; ++v) {
+      const std::vector<RecordId>& members = rids[v];
+      size_t own = 0;
+      for (size_t i = 0; i < members.size(); ++i) {
+        if (i > 0 && members[i] <= members[i - 1]) {
+          errors[v] = Status::Corruption(StrFormat(
+              "membership of v%zu is not strictly ascending at rid %lld", v,
+              static_cast<long long>(members[i])));
+          break;
+        }
+        const uint32_t row = row_of.Find(members[i]);
+        if (row >= stored_begin[v + 1]) {  // also catches kEmpty
+          errors[v] = Status::Corruption(StrFormat(
+              "v%zu lists rid %lld, which no version up to it stored", v,
+              static_cast<long long>(members[i])));
+          break;
+        }
+        if (row >= stored_begin[v]) ++own;
+      }
+      if (errors[v].ok() && own != new_records[v].size()) {
+        errors[v] = Status::Corruption(StrFormat(
+            "v%zu stores %zu new records but lists only %zu of them", v,
+            new_records[v].size(), own));
+      }
+    }
+  });
+  for (const Status& error : errors) ORPHEUS_RETURN_NOT_OK(error);
+  return LoadChecked(load);
+}
+
+Status DataModelBackend::LoadChecked(const CheckedLoad& load) {
+  for (size_t v = 0; v < load.rids.size(); ++v) {
+    ORPHEUS_RETURN_NOT_OK(AddVersion(static_cast<int>(v), load.rids[v],
+                                     load.new_records[v], load.parents[v]));
+  }
+  return Status::OK();
+}
 
 // ---------------------------------------------------------------------------
 // ATablePerVersionBackend
@@ -235,6 +438,24 @@ Status CombinedTableBackend::AddVersion(
   return Status::OK();
 }
 
+Status CombinedTableBackend::LoadChecked(const CheckedLoad& load) {
+  // Bulk form of the AddVersion replay: each record's vlist is final before
+  // its row is written, so no tuple is rewritten, and the rid index gains
+  // one entry per row, in row order. The fills stay on this thread: on a
+  // pool worker their allocations would land in that worker's malloc arena
+  // and raise the process's peak memory.
+  std::vector<Column*> fields;
+  for (size_t k = 0; k < data_schema_.num_columns(); ++k) {
+    fields.push_back(
+        &combined_.mutable_column(PhysicalDataCol(static_cast<int>(k))));
+  }
+  AppendRecords(load.records, &combined_.mutable_column(0), fields);
+  AppendVlists(load, &combined_.mutable_column(vlist_col_));
+  combined_.CountAppendedRows(load.records.size());
+  num_versions_ = static_cast<int>(load.rids.size());
+  return Status::OK();
+}
+
 Result<std::vector<RecordId>> CombinedTableBackend::VersionRecords(
     int vid) const {
   if (vid < 0 || vid >= num_versions_) return BadVersion(vid);
@@ -338,6 +559,18 @@ Status SplitByVlistBackend::AddVersion(int vid,
   return Status::OK();
 }
 
+Status SplitByVlistBackend::LoadChecked(const CheckedLoad& load) {
+  // As CombinedTableBackend::LoadChecked, over the data table and the
+  // versioning table.
+  AppendRecordRows(load.records, &data_);
+  AppendRids(load.records, &versioning_.mutable_column(0));
+  AppendVlists(load, &versioning_.mutable_column(1));
+  data_.CountAppendedRows(load.records.size());
+  versioning_.CountAppendedRows(load.records.size());
+  num_versions_ = static_cast<int>(load.rids.size());
+  return Status::OK();
+}
+
 Result<std::vector<RecordId>> SplitByVlistBackend::VersionRecords(
     int vid) const {
   if (vid < 0 || vid >= num_versions_) return BadVersion(vid);
@@ -429,6 +662,24 @@ Status SplitByRlistBackend::AddVersion(int vid,
   return Status::OK();
 }
 
+Status SplitByRlistBackend::LoadChecked(const CheckedLoad& load) {
+  AppendRecordRows(load.records, &data_);
+  data_.CountAppendedRows(load.records.size());
+  for (size_t r = 1; r < load.records.size(); ++r) {
+    if (load.records[r]->rid <= load.records[r - 1]->rid) {
+      data_rid_ascending_ = false;
+      break;
+    }
+  }
+  for (size_t v = 0; v < load.rids.size(); ++v) {
+    versioning_.mutable_column(0).AppendInt(static_cast<int64_t>(v));
+    versioning_.mutable_column(1).AppendIntArray(load.rids[v]);
+  }
+  versioning_.CountAppendedRows(load.rids.size());
+  num_versions_ = static_cast<int>(load.rids.size());
+  return Status::OK();
+}
+
 Result<std::vector<RecordId>> SplitByRlistBackend::VersionRecords(
     int vid) const {
   auto row = versioning_.LookupUniqueInt(0, vid);
@@ -489,14 +740,9 @@ Status SplitByRlistBackend::WidenAttribute(int attr_idx, ValueType to) {
 // DeltaBasedBackend
 // ---------------------------------------------------------------------------
 
-Status DeltaBasedBackend::AddVersion(int vid, const std::vector<RecordId>& rids,
-                                     const std::vector<NewRecord>& new_records,
-                                     const std::vector<int>& parents) {
-  if (vid != num_versions_) {
-    return Status::InvalidArgument("versions must be added in order");
-  }
-  Delta delta(MaterializedSchema(), StrFormat("delta_v%d", vid));
-
+std::vector<RecordId> DeltaBasedBackend::PlanDelta(
+    const std::vector<RecordId>& rids, const std::vector<int>& parents,
+    Delta* delta) const {
   // Pick the base: the parent sharing the most records (Approach 4.4).
   int base = -1;
   int64_t best_shared = -1;
@@ -521,10 +767,7 @@ Status DeltaBasedBackend::AddVersion(int vid, const std::vector<RecordId>& rids,
       base = p;
     }
   }
-  delta.base = base;
-
-  std::unordered_map<RecordId, const Row*> fresh;
-  for (const auto& nr : new_records) fresh.emplace(nr.rid, &nr.data);
+  delta->base = base;
 
   const std::vector<RecordId> empty;
   const std::vector<RecordId>& base_rids =
@@ -539,13 +782,28 @@ Status DeltaBasedBackend::AddVersion(int vid, const std::vector<RecordId>& rids,
       inserted.push_back(rids[i]);
       ++i;
     } else if (i >= rids.size() || rids[i] > base_rids[j]) {
-      delta.deletes.push_back(base_rids[j]);
+      delta->deletes.push_back(base_rids[j]);
       ++j;
     } else {
       ++i;
       ++j;
     }
   }
+  return inserted;
+}
+
+Status DeltaBasedBackend::AddVersion(int vid, const std::vector<RecordId>& rids,
+                                     const std::vector<NewRecord>& new_records,
+                                     const std::vector<int>& parents) {
+  if (vid != num_versions_) {
+    return Status::InvalidArgument("versions must be added in order");
+  }
+  Delta delta(MaterializedSchema(), StrFormat("delta_v%d", vid));
+  const std::vector<RecordId> inserted = PlanDelta(rids, parents, &delta);
+
+  std::unordered_map<RecordId, const Row*> fresh;
+  for (const auto& nr : new_records) fresh.emplace(nr.rid, &nr.data);
+
   for (RecordId rid : inserted) {
     auto it = fresh.find(rid);
     if (it != fresh.end()) {
@@ -556,7 +814,7 @@ Status DeltaBasedBackend::AddVersion(int vid, const std::vector<RecordId>& rids,
     // through that parent's chain.
     bool found = false;
     for (int p : parents) {
-      if (p == base) continue;
+      if (p == delta.base) continue;
       auto payload = GetRecordPayload(rid, p);
       if (payload.ok()) {
         AppendRidRow(&delta.inserts, rid, *payload);
@@ -574,6 +832,26 @@ Status DeltaBasedBackend::AddVersion(int vid, const std::vector<RecordId>& rids,
   deltas_.push_back(std::move(delta));
   membership_.push_back(rids);
   ++num_versions_;
+  return Status::OK();
+}
+
+Status DeltaBasedBackend::LoadChecked(const CheckedLoad& load) {
+  // AddVersion per version, except that every inserted payload is read
+  // from the checked records by row: a record is immutable, so the copy a
+  // parent chain would return is the same payload.
+  for (size_t v = 0; v < load.rids.size(); ++v) {
+    Delta delta(MaterializedSchema(), StrFormat("delta_v%zu", v));
+    std::vector<const NewRecord*> inserted;
+    for (RecordId rid : PlanDelta(load.rids[v], load.parents[v], &delta)) {
+      inserted.push_back(load.records[load.RowOf(rid)]);
+    }
+    AppendRecordRows(inserted, &delta.inserts);
+    delta.inserts.CountAppendedRows(inserted.size());
+    ORPHEUS_RETURN_NOT_OK(delta.inserts.BuildUniqueIntIndex(0));
+    deltas_.push_back(std::move(delta));
+    membership_.push_back(load.rids[v]);
+  }
+  num_versions_ = static_cast<int>(load.rids.size());
   return Status::OK();
 }
 

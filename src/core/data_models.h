@@ -57,6 +57,19 @@ class DataModelBackend {
                             const std::vector<NewRecord>& new_records,
                             const std::vector<int>& parents) = 0;
 
+  /// Bulk-register a whole history into an empty backend: version v gets
+  /// membership `rids[v]`, first-stored payloads `new_records[v]` and
+  /// parents `parents[v]`, leaving the backend exactly as n AddVersion
+  /// calls would (snapshot and WAL-create loads). The input comes from
+  /// disk, so the AddVersion contract is checked first and any violation
+  /// is Corruption: memberships strictly ascending, every member stored by
+  /// this or an earlier version, every new rid new once and a member of
+  /// its own version, parents earlier versions, and payloads of the
+  /// schema's width.
+  Status LoadVersions(const std::vector<std::vector<RecordId>>& rids,
+                      const std::vector<std::vector<NewRecord>>& new_records,
+                      const std::vector<std::vector<int>>& parents);
+
   /// Sorted rids of version `vid`.
   virtual Result<std::vector<RecordId>> VersionRecords(int vid) const = 0;
 
@@ -88,6 +101,32 @@ class DataModelBackend {
  protected:
   explicit DataModelBackend(minidb::Schema data_schema)
       : data_schema_(std::move(data_schema)) {}
+
+  /// rid -> row map of a checked load (defined in data_models.cc).
+  class RowOfRid;
+
+  /// A LoadVersions input that passed its checks. `records` lists every
+  /// payload in first-stored order (the row order AddVersion appends in).
+  struct CheckedLoad {
+    const std::vector<std::vector<RecordId>>& rids;
+    const std::vector<std::vector<NewRecord>>& new_records;
+    const std::vector<std::vector<int>>& parents;
+    const RowOfRid& row_of;
+    std::vector<const NewRecord*> records;
+
+    /// Index into `records` of the record with rid `rid`, which some
+    /// version stores.
+    uint32_t RowOf(RecordId rid) const;
+  };
+
+  /// Register a checked history. The default replays AddVersion per
+  /// version; models with a cheaper bulk form override it.
+  virtual Status LoadChecked(const CheckedLoad& load);
+
+  /// Append one vlist cell per record of `load`, in record order, to `col`:
+  /// the memberships inverted in one counting pass into CSR offsets plus
+  /// one flat vid array.
+  static void AppendVlists(const CheckedLoad& load, minidb::Column* col);
 
   /// Schema of a materialized table: [_rid, data attributes...].
   minidb::Schema MaterializedSchema() const;
@@ -143,7 +182,13 @@ class CombinedTableBackend final : public DataModelBackend {
   Status AddAttribute(const minidb::ColumnDef& def) override;
   Status WidenAttribute(int attr_idx, minidb::ValueType to) override;
 
+  /// The physical table, for tests.
+  const minidb::Table& combined_table() const { return combined_; }
+
  private:
+  /// One pass: invert memberships into vlists and write every row once.
+  Status LoadChecked(const CheckedLoad& load) override;
+
   // Physical position of data attribute k: attributes added after creation
   // land beyond the vlist column (minidb appends columns at the end).
   int PhysicalDataCol(int k) const {
@@ -174,7 +219,14 @@ class SplitByVlistBackend final : public DataModelBackend {
   Status AddAttribute(const minidb::ColumnDef& def) override;
   Status WidenAttribute(int attr_idx, minidb::ValueType to) override;
 
+  /// The physical tables, for tests.
+  const minidb::Table& data_table() const { return data_; }
+  const minidb::Table& versioning_table() const { return versioning_; }
+
  private:
+  /// One pass: invert memberships into vlists and write every row once.
+  Status LoadChecked(const CheckedLoad& load) override;
+
   minidb::Table data_;        // [_rid, attrs...]
   minidb::Table versioning_;  // [_rid, vlist]
 };
@@ -208,6 +260,9 @@ class SplitByRlistBackend final : public DataModelBackend {
   const minidb::Table& versioning_table() const { return versioning_; }
 
  private:
+  /// Write every data row once, and one rlist per version.
+  Status LoadChecked(const CheckedLoad& load) override;
+
   minidb::Table data_;        // [_rid, attrs...]
   minidb::Table versioning_;  // [vid, rlist]
   minidb::JoinAlgorithm join_algo_ = minidb::JoinAlgorithm::kHashJoin;
@@ -247,6 +302,14 @@ class DeltaBasedBackend final : public DataModelBackend {
     Delta(minidb::Schema schema, const std::string& name)
         : inserts(name, std::move(schema)) {}
   };
+
+  /// Pick the base of a version of `rids` with `parents` into `delta`,
+  /// fill its deletes, and return the rids it must insert.
+  std::vector<RecordId> PlanDelta(const std::vector<RecordId>& rids,
+                                  const std::vector<int>& parents,
+                                  Delta* delta) const;
+  /// One delta per version as AddVersion builds it, payloads by row.
+  Status LoadChecked(const CheckedLoad& load) override;
 
   std::vector<Delta> deltas_;
   // Membership cache: rebuilt-on-restart index, not counted as storage

@@ -82,8 +82,9 @@ struct RecoveredState {
   std::string wal_path;
 };
 
-/// Shared by Open and Fsck: load CURRENT -> snapshot -> WAL and replay the
-/// records in memory. Pure read — torn tails are reported, not repaired.
+/// Shared by Open and Fsck: read CURRENT, the snapshot and the WAL, then
+/// load the snapshot's CVDs and replay the WAL records in memory. Pure
+/// read — torn tails are reported, not repaired.
 Result<RecoveredState> Recover(const std::string& dir) {
   RecoveredState out;
   ORPHEUS_ASSIGN_OR_RETURN(std::string current,
@@ -92,8 +93,11 @@ Result<RecoveredState> Recover(const std::string& dir) {
   out.snapshot_path = SnapshotPath(dir, out.seq);
   out.wal_path = WalPath(dir, out.seq);
 
-  ORPHEUS_ASSIGN_OR_RETURN(SnapshotContents snapshot,
-                           ReadSnapshot(out.snapshot_path));
+  SnapshotContents snapshot;
+  {
+    ORPHEUS_TRACE_SPAN("read_snapshot");
+    ORPHEUS_ASSIGN_OR_RETURN(snapshot, ReadSnapshot(out.snapshot_path));
+  }
   if (snapshot.seq != out.seq) {
     return Status::DataLoss(StrFormat(
         "%s: snapshot sequence %llu does not match CURRENT (%llu)",
@@ -101,7 +105,18 @@ Result<RecoveredState> Recover(const std::string& dir) {
         static_cast<unsigned long long>(snapshot.seq),
         static_cast<unsigned long long>(out.seq)));
   }
+  {
+    ORPHEUS_TRACE_SPAN("read_wal");
+    ORPHEUS_ASSIGN_OR_RETURN(out.wal, ReadWal(out.wal_path));
+  }
+  if (out.wal.seq != out.seq) {
+    return Status::DataLoss(StrFormat(
+        "%s: WAL sequence %llu does not match CURRENT (%llu)",
+        out.wal_path.c_str(), static_cast<unsigned long long>(out.wal.seq),
+        static_cast<unsigned long long>(out.seq)));
+  }
 
+  ORPHEUS_TRACE_SPAN("load");
   std::unordered_map<std::string, size_t> by_name;
   for (const core::CvdState& state : snapshot.cvds) {
     if (by_name.count(state.name) != 0) {
@@ -117,14 +132,6 @@ Result<RecoveredState> Recover(const std::string& dir) {
     }
     by_name[state.name] = out.cvds.size();
     out.cvds.push_back(cvd.MoveValueOrDie());
-  }
-
-  ORPHEUS_ASSIGN_OR_RETURN(out.wal, ReadWal(out.wal_path));
-  if (out.wal.seq != out.seq) {
-    return Status::DataLoss(StrFormat(
-        "%s: WAL sequence %llu does not match CURRENT (%llu)",
-        out.wal_path.c_str(), static_cast<unsigned long long>(out.wal.seq),
-        static_cast<unsigned long long>(out.seq)));
   }
 
   for (const WalRecord& record : out.wal.records) {
@@ -233,8 +240,11 @@ Result<std::unique_ptr<Repository>> Repository::Open(const std::string& dir) {
   }
 
   ORPHEUS_ASSIGN_OR_RETURN(RecoveredState state, Recover(dir));
-  for (const auto& cvd : state.cvds) {
-    ORPHEUS_RETURN_NOT_OK(ValidateRecovered(*cvd, state.wal_path));
+  {
+    ORPHEUS_TRACE_SPAN("validate");
+    for (const auto& cvd : state.cvds) {
+      ORPHEUS_RETURN_NOT_OK(ValidateRecovered(*cvd, state.wal_path));
+    }
   }
   if (state.wal.torn_tail) {
     // The torn record was never acknowledged to any client (Append fsyncs

@@ -767,6 +767,78 @@ TEST_F(StorageTest, FsckReportsCleanRepository) {
   EXPECT_FALSE(missing.ok());
 }
 
+/// A CVD of `model` with ten versions alternating V2Table and V3Table, so
+/// the records they share carry vlists of up to ten vids (past
+/// RidSet::kMinCompressElems).
+std::unique_ptr<core::Cvd> MakeCvdWithTenVersions(core::DataModelType model) {
+  core::Cvd::Options opts = PkOptions();
+  opts.model = model;
+  auto cvd = core::Cvd::Init("t", V1Table(), opts).MoveValueOrDie();
+  for (core::VersionId parent = 1; parent < 10; ++parent) {
+    const Table table = parent % 2 == 1 ? V2Table() : V3Table();
+    ORPHEUS_CHECK_OK(
+        cvd->CommitTable(table, {parent}, "edit", "tester").status());
+  }
+  return cvd;
+}
+
+TEST_F(StorageTest, BulkLoadedModelsSurviveWalCreateAndSnapshot) {
+  for (core::DataModelType model : {core::DataModelType::kCombinedTable,
+                                    core::DataModelType::kSplitByVlist}) {
+    SCOPED_TRACE(core::DataModelTypeName(model));
+    const std::string dir = dir_ + "/" + core::DataModelTypeName(model);
+    auto cvd = MakeCvdWithTenVersions(model);
+    std::vector<std::string> goldens;
+    for (core::VersionId v = 1; v <= cvd->num_versions(); ++v) {
+      goldens.push_back(CheckoutCsv(cvd.get(), {v}));
+    }
+    const uint64_t bytes = cvd->StorageBytes();
+    auto expect_same = [&](core::Cvd* loaded) {
+      ASSERT_EQ(loaded->num_versions(), cvd->num_versions());
+      for (core::VersionId v = 1; v <= loaded->num_versions(); ++v) {
+        EXPECT_EQ(CheckoutCsv(loaded, {v}), goldens[v - 1]) << "v" << v;
+      }
+      EXPECT_EQ(loaded->StorageBytes(), bytes);
+    };
+
+    // WAL-create path: the whole CVD is one create record, and the
+    // repository is dropped without a checkpoint.
+    {
+      auto repo = Repository::Open(dir).MoveValueOrDie();
+      ASSERT_TRUE(repo->LogCreate(*cvd).ok());
+    }
+    auto repo = Repository::Open(dir).MoveValueOrDie();
+    EXPECT_EQ(repo->stats().wal_records, 1u);
+    auto cvds = repo->TakeCvds();
+    ASSERT_EQ(cvds.size(), 1u);
+    ASSERT_NO_FATAL_FAILURE(expect_same(cvds[0].get()));
+
+    // Snapshot path: checkpoint the recovered CVD and reopen.
+    ASSERT_TRUE(repo->Checkpoint({cvds[0].get()}).ok());
+    repo.reset();
+    auto reopened = Repository::Open(dir).MoveValueOrDie();
+    EXPECT_EQ(reopened->stats().wal_records, 0u);
+    auto from_snapshot = reopened->TakeCvds();
+    ASSERT_EQ(from_snapshot.size(), 1u);
+    ASSERT_NO_FATAL_FAILURE(expect_same(from_snapshot[0].get()));
+  }
+}
+
+TEST_F(StorageTest, MalformedSnapshotStateIsDataLoss) {
+  // A frame-valid snapshot whose CVD stores rid 1 in two versions: the
+  // load rejects it, and Open reports that as data loss.
+  { auto repo = Repository::Open(dir_).MoveValueOrDie(); }
+  core::CvdState state =
+      MakeCvdWithTwoVersions()->ExportState().MoveValueOrDie();
+  ASSERT_EQ(state.version_rids.size(), 2u);
+  state.version_new_records[1].push_back(state.version_new_records[0][0]);
+  std::vector<core::CvdState> states = {state};
+  ASSERT_TRUE(WriteSnapshot(dir_ + "/snapshot-1", 1, states).ok());
+  auto repo = Repository::Open(dir_);
+  ASSERT_FALSE(repo.ok());
+  EXPECT_TRUE(repo.status().IsDataLoss()) << repo.status().ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Exhaustive single-bit corruption sweeps: recovery must fail cleanly or
 // succeed with intact data for every possible one-bit flip — never crash.
