@@ -638,6 +638,16 @@ Status Cvd::ApplyCommitRecord(const CvdCommitRecord& record) {
         record.vid, name_.c_str(), record.parents.size(),
         record.parent_weights.size()));
   }
+  // The models rely on sorted memberships; a replayed one is checked as a
+  // loaded one is (DataModelBackend::LoadVersions).
+  for (size_t i = 1; i < record.rids.size(); ++i) {
+    if (record.rids[i] <= record.rids[i - 1]) {
+      return Status::Corruption(StrFormat(
+          "commit record for version %d of CVD %s: membership is not "
+          "strictly ascending at rid %lld",
+          record.vid, name_.c_str(), static_cast<long long>(record.rids[i])));
+    }
+  }
   // Replay this commit's schema evolution: widen changed types, append new
   // attributes (schema_after is authoritative).
   const size_t have = backend_->data_schema().num_columns();

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <unordered_set>
 
-#include "common/env.h"
 #include "common/ridset.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -98,6 +97,29 @@ void AppendRecordRows(const std::vector<const NewRecord*>& records,
 
 void AppendRids(const std::vector<const NewRecord*>& records, Column* col) {
   for (const NewRecord* rec : records) col->AppendInt(rec->rid);
+}
+
+bool RidsAscending(const std::vector<const NewRecord*>& records) {
+  for (size_t r = 1; r < records.size(); ++r) {
+    if (records[r]->rid <= records[r - 1]->rid) return false;
+  }
+  return true;
+}
+
+/// The first position at or after `lo` in ascending `v` whose value is not
+/// below `x`; every value before `lo` must be below `x`. Gallops forward,
+/// so a run of ascending probes costs about the distance they travel.
+size_t GallopLowerBound(const std::vector<RecordId>& v, size_t lo,
+                        RecordId x) {
+  size_t hi = lo;
+  for (size_t step = 1; hi < v.size() && v[hi] < x; step <<= 1) {
+    lo = hi + 1;
+    hi += step;
+  }
+  return static_cast<size_t>(
+      std::lower_bound(v.begin() + lo, v.begin() + std::min(hi, v.size()),
+                       x) -
+      v.begin());
 }
 
 }  // namespace
@@ -549,6 +571,10 @@ Status SplitByVlistBackend::AddVersion(int vid,
     versioning_.RewriteRowAppendToArray(*row, 1, vid);
   }
   for (const auto& nr : new_records) {
+    const auto& drids = data_.column(0).int_data();
+    if (!drids.empty() && nr.rid <= drids.back()) {
+      data_rid_ascending_ = false;
+    }
     AppendRidRow(&data_, nr.rid, nr.data);
     Row vrow;
     vrow.emplace_back(static_cast<int64_t>(nr.rid));
@@ -562,6 +588,7 @@ Status SplitByVlistBackend::AddVersion(int vid,
 Status SplitByVlistBackend::LoadChecked(const CheckedLoad& load) {
   // As CombinedTableBackend::LoadChecked, over the data table and the
   // versioning table.
+  data_rid_ascending_ = RidsAscending(load.records);
   AppendRecordRows(load.records, &data_);
   AppendRids(load.records, &versioning_.mutable_column(0));
   AppendVlists(load, &versioning_.mutable_column(1));
@@ -571,31 +598,31 @@ Status SplitByVlistBackend::LoadChecked(const CheckedLoad& load) {
   return Status::OK();
 }
 
-Result<std::vector<RecordId>> SplitByVlistBackend::VersionRecords(
-    int vid) const {
-  if (vid < 0 || vid >= num_versions_) return BadVersion(vid);
+std::vector<RecordId> SplitByVlistBackend::SortedRids(int vid) const {
   std::vector<uint32_t> rows = versioning_.SelectRowsArrayContains(1, vid);
   std::vector<RecordId> out;
   out.reserve(rows.size());
   const auto& rids = versioning_.column(0).int_data();
   for (uint32_t r : rows) out.push_back(rids[r]);
-  std::sort(out.begin(), out.end());
+  // The versioning table lists rids in the data table's row order.
+  if (!data_rid_ascending_) std::sort(out.begin(), out.end());
   return out;
+}
+
+Result<std::vector<RecordId>> SplitByVlistBackend::VersionRecords(
+    int vid) const {
+  if (vid < 0 || vid >= num_versions_) return BadVersion(vid);
+  return SortedRids(vid);
 }
 
 Result<minidb::Table> SplitByVlistBackend::Checkout(
     int vid, const std::string& out) const {
   if (vid < 0 || vid >= num_versions_) return BadVersion(vid);
-  // Scan the versioning table for rids in the version...
-  std::vector<uint32_t> vrows = versioning_.SelectRowsArrayContains(1, vid);
-  std::vector<int64_t> rlist;
-  rlist.reserve(vrows.size());
-  const auto& rids = versioning_.column(0).int_data();
-  for (uint32_t r : vrows) rlist.push_back(rids[r]);
-  // ... then hash-join with the data table.
-  std::vector<uint32_t> rows = minidb::JoinRids(
-      data_, 0, rlist, minidb::JoinAlgorithm::kHashJoin,
-      /*clustered_on_rid=*/true);
+  // Scan the versioning table for rids in the version, then join them with
+  // the data table through the compressed-set kernel split-by-rlist uses.
+  std::vector<uint32_t> rows =
+      minidb::JoinRidSet(data_, 0, orpheus::RidSet::FromSorted(SortedRids(vid)),
+                         data_rid_ascending_);
   return data_.CopyRows(rows, out);
 }
 
@@ -665,12 +692,7 @@ Status SplitByRlistBackend::AddVersion(int vid,
 Status SplitByRlistBackend::LoadChecked(const CheckedLoad& load) {
   AppendRecordRows(load.records, &data_);
   data_.CountAppendedRows(load.records.size());
-  for (size_t r = 1; r < load.records.size(); ++r) {
-    if (load.records[r]->rid <= load.records[r - 1]->rid) {
-      data_rid_ascending_ = false;
-      break;
-    }
-  }
+  data_rid_ascending_ = RidsAscending(load.records);
   for (size_t v = 0; v < load.rids.size(); ++v) {
     versioning_.mutable_column(0).AppendInt(static_cast<int64_t>(v));
     versioning_.mutable_column(1).AppendIntArray(load.rids[v]);
@@ -864,72 +886,35 @@ Result<std::vector<RecordId>> DeltaBasedBackend::VersionRecords(
 Result<minidb::Table> DeltaBasedBackend::Checkout(
     int vid, const std::string& out) const {
   if (vid < 0 || vid >= num_versions_) return BadVersion(vid);
-  // Trace the version lineage back to the root via `base` links, probing
-  // each delta table for still-needed records (newer occurrences win).
-  // Membership lists are sorted, so large needed sets live as a compressed
-  // RidSet shrunk with set Difference per hop; the hash set remains for
-  // small memberships (each hop rebuilds the whole needed set, so below the
-  // crossover the per-hop Difference costs more than hash erasure saves)
-  // and as the ORPHEUS_RIDSET=0 fallback. Both probes visit rows in
-  // identical order, so the checked-out table is byte-identical.
-  static const size_t kRidSetMinMembership = static_cast<size_t>(
-      orpheus::ParseEnvInt("ORPHEUS_RIDSET_DELTA_MIN", 1 << 15, 0, 1 << 30));
+  // Trace the version lineage back to the root via `base` links. Each hop
+  // contributes, in physical order, the rows of its delta whose records
+  // are members not yet found (a newer occurrence wins). A member is
+  // flagged by its position in the sorted membership, found with a
+  // forward-galloping cursor: PlanDelta emits inserts in rid order, so a
+  // hop costs about its delta's length, and a rid below the cursor
+  // restarts it, so any order stays correct.
+  const std::vector<RecordId>& members = membership_[vid];
+  std::vector<uint8_t> found(members.size(), 0);
+  size_t missing = members.size();
   Table result(out, MaterializedSchema());
-  if (orpheus::RidSetEnabled() &&
-      membership_[vid].size() >= kRidSetMinMembership &&
-      std::is_sorted(membership_[vid].begin(), membership_[vid].end())) {
-    orpheus::RidSet needed = orpheus::RidSet::FromSorted(membership_[vid]);
-    int v = vid;
-    while (v >= 0 && !needed.empty()) {
-      const Delta& d = deltas_[v];
-      const auto& rids = d.inserts.column(0).int_data();
-      std::vector<uint32_t> rows = ParallelCollect<uint32_t>(
-          d.inserts.num_rows(), 1 << 15,
-          [&needed, &rids](size_t lo, size_t hi, std::vector<uint32_t>* hit) {
-            size_t hint = 0;
-            for (size_t r = lo; r < hi; ++r) {
-              if (needed.ContainsHint(rids[r], &hint)) {
-                hit->push_back(static_cast<uint32_t>(r));
-              }
-            }
-          });
-      std::vector<int64_t> found;
-      found.reserve(rows.size());
-      for (uint32_t r : rows) found.push_back(rids[r]);
-      std::sort(found.begin(), found.end());
-      needed = needed.Difference(orpheus::RidSet::FromSorted(found));
-      result.AppendFrom(d.inserts, rows);
-      v = d.base;
+  std::vector<uint32_t> rows;
+  for (int v = vid; v >= 0 && missing > 0; v = deltas_[v].base) {
+    const Table& inserts = deltas_[v].inserts;
+    const auto& rids = inserts.column(0).int_data();
+    rows.clear();
+    size_t pos = 0;
+    for (size_t r = 0; r < rids.size(); ++r) {
+      if (pos > 0 && members[pos - 1] >= rids[r]) pos = 0;
+      pos = GallopLowerBound(members, pos, rids[r]);
+      if (pos < members.size() && members[pos] == rids[r] && !found[pos]) {
+        found[pos] = 1;
+        --missing;
+        rows.push_back(static_cast<uint32_t>(r));
+      }
     }
-    if (!needed.empty()) {
-      return Status::Corruption("delta chain did not cover the version");
-    }
-    return result;
+    result.AppendFrom(inserts, rows);
   }
-  std::unordered_set<RecordId> needed(membership_[vid].begin(),
-                                      membership_[vid].end());
-  int v = vid;
-  while (v >= 0 && !needed.empty()) {
-    const Delta& d = deltas_[v];
-    const auto& rids = d.inserts.column(0).int_data();
-    // Parallel hash probe of this delta's rid column against the needed
-    // set (read-only during the scan; rids are unique within a delta, so
-    // deferring the erasures cannot double-match). Chunks stitch in row
-    // order — identical to the serial probe.
-    std::vector<uint32_t> rows = ParallelCollect<uint32_t>(
-        d.inserts.num_rows(), 1 << 15,
-        [&needed, &rids](size_t lo, size_t hi, std::vector<uint32_t>* hit) {
-          for (size_t r = lo; r < hi; ++r) {
-            if (needed.count(rids[r])) {
-              hit->push_back(static_cast<uint32_t>(r));
-            }
-          }
-        });
-    for (uint32_t r : rows) needed.erase(rids[r]);
-    result.AppendFrom(d.inserts, rows);
-    v = d.base;
-  }
-  if (!needed.empty()) {
+  if (missing > 0) {
     return Status::Corruption("delta chain did not cover the version");
   }
   return result;

@@ -227,8 +227,14 @@ class SplitByVlistBackend final : public DataModelBackend {
   /// One pass: invert memberships into vlists and write every row once.
   Status LoadChecked(const CheckedLoad& load) override;
 
+  /// Ascending rids of version `vid`, from a scan of the vlists.
+  std::vector<RecordId> SortedRids(int vid) const;
+
   minidb::Table data_;        // [_rid, attrs...]
   minidb::Table versioning_;  // [_rid, vlist]
+  /// True while the data table's rid column is an ascending run; as in
+  /// SplitByRlistBackend, it selects the serial merge join kernel.
+  bool data_rid_ascending_ = true;
 };
 
 // ---------------------------------------------------------------------------
@@ -293,6 +299,13 @@ class DeltaBasedBackend final : public DataModelBackend {
   uint64_t StorageBytes() const override;
   Status AddAttribute(const minidb::ColumnDef& def) override;
   Status WidenAttribute(int attr_idx, minidb::ValueType to) override;
+
+  /// The delta chain, for tests: version `vid`'s base (-1 at a root) and
+  /// the rows it inserts, [_rid, attrs...].
+  int delta_base(int vid) const { return deltas_[vid].base; }
+  const minidb::Table& delta_inserts(int vid) const {
+    return deltas_[vid].inserts;
+  }
 
  private:
   struct Delta {

@@ -27,6 +27,15 @@ void AppendLittleEndian(std::string_view bytes, std::vector<T>* dst) {
   }
 }
 
+template <typename T>
+void Gather(const std::vector<T>& in, const std::vector<uint32_t>& rows,
+            std::vector<T>* out) {
+  const size_t old = out->size();
+  out->resize(old + rows.size());
+  T* dst = out->data() + old;
+  for (size_t i = 0; i < rows.size(); ++i) dst[i] = in[rows[i]];
+}
+
 }  // namespace
 
 void Column::AppendFixedWidth(std::string_view bytes) {
@@ -101,6 +110,32 @@ void Column::AppendValue(const Value& v) {
   }
 }
 
+void Column::AppendGather(const Column& in, const std::vector<uint32_t>& rows) {
+  if (type_ != in.type_ ||
+      (type_ != ValueType::kInt64 && type_ != ValueType::kDouble)) {
+    for (uint32_t r : rows) AppendValue(in.GetValue(r));
+    return;
+  }
+  // A null's slot holds zero on both sides, so the values copy as they lie.
+  if (type_ == ValueType::kInt64) {
+    Gather(in.ints_, rows, &ints_);
+  } else {
+    Gather(in.doubles_, rows, &doubles_);
+  }
+  if (!in.valid_.empty()) {
+    // The bitmap is allocated only once a null arrives, as AppendNull does.
+    uint8_t all_valid = 1;
+    for (uint32_t r : rows) all_valid &= in.valid_[r];
+    if (!all_valid || !valid_.empty()) {
+      EnsureValidity();
+      Gather(in.valid_, rows, &valid_);
+    }
+  } else if (!valid_.empty()) {
+    valid_.resize(size_ + rows.size(), 1);
+  }
+  size_ += rows.size();
+}
+
 Value Column::GetValue(size_t i) const {
   if (IsNull(i)) return Value::Null();
   switch (type_) {
@@ -122,6 +157,22 @@ void Column::SetValue(size_t i, const Value& v) {
   if (v.is_null()) {
     EnsureValidity();
     valid_[i] = 0;
+    switch (type_) {
+      case ValueType::kInt64:
+        ints_[i] = 0;
+        break;
+      case ValueType::kDouble:
+        doubles_[i] = 0.0;
+        break;
+      case ValueType::kString:
+        strings_[i] = std::string();
+        break;
+      case ValueType::kIntArray:
+        arrays_[i] = ArrayCell{};
+        break;
+      case ValueType::kNull:
+        break;
+    }
     return;
   }
   if (!valid_.empty()) valid_[i] = 1;

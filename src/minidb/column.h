@@ -70,6 +70,12 @@ class Column {
   /// Append `v`, which must match the column type or be null.
   void AppendValue(const Value& v);
 
+  /// Append cell `rows[i]` of `in` for every i, leaving the column exactly
+  /// as AppendValue(in.GetValue(r)) per row would. A kInt64 or kDouble
+  /// column fed from one of its own type gathers its values in one pass
+  /// and copies their validity in bulk; other columns go cell by cell.
+  void AppendGather(const Column& in, const std::vector<uint32_t>& rows);
+
   bool IsNull(size_t i) const {
     return !valid_.empty() && valid_[i] == 0;
   }
@@ -107,7 +113,8 @@ class Column {
   /// Boxed accessor (respects nulls).
   Value GetValue(size_t i) const;
 
-  /// Overwrite cell `i` with `v` (type must match; null allowed).
+  /// Overwrite cell `i` with `v` (type must match; null allowed). A null
+  /// leaves the same zero or empty slot AppendNull would.
   void SetValue(size_t i, const Value& v);
 
   /// Approximate heap bytes used by this column's data, mirroring on-disk

@@ -1,14 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
+#include "common/ridset.h"
+#include "core/cvd.h"
 #include "core/data_models.h"
+#include "minidb/join.h"
 
 namespace orpheus::core {
 namespace {
 
 using minidb::Row;
 using minidb::Schema;
+using minidb::Table;
 using minidb::Value;
 using minidb::ValueType;
 
@@ -239,6 +247,290 @@ TEST(DataModelDeltaTest, MergePicksBaseWithMostSharedRecords) {
   auto t = backend->Checkout(3, "out");
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(CheckedOutRids(*t), (std::vector<RecordId>{1, 2, 3, 4}));
+}
+
+// ---------------------------------------------------------------------------
+// Checkouts of the delta-based and split-by-vlist models against the
+// algorithms they replaced: the same rows, in the same order, cell by cell.
+// ---------------------------------------------------------------------------
+
+/// One version of a hand-built history.
+struct VersionStep {
+  std::vector<RecordId> rids;    // sorted membership
+  std::vector<RecordId> fresh;   // rids first stored here
+  std::vector<int> parents;
+};
+
+Schema MixedSchema() {
+  return Schema({{"name", ValueType::kString},
+                 {"score", ValueType::kInt64},
+                 {"weight", ValueType::kDouble}});
+}
+
+/// Payload of `rid`; every seventh record has a NULL score.
+Row MixedRow(RecordId rid) {
+  return {Value("r" + std::to_string(rid)),
+          rid % 7 == 3 ? Value::Null() : Value(int64_t{rid * 3 - 5}),
+          Value(0.5 * static_cast<double>(rid))};
+}
+
+/// The history registered one AddVersion at a time, or with one
+/// LoadVersions call when `bulk`.
+std::unique_ptr<DataModelBackend> BuildHistory(
+    DataModelType type, const std::vector<VersionStep>& history, bool bulk) {
+  auto backend = DataModelBackend::Create(type, MixedSchema());
+  std::vector<std::vector<RecordId>> rids;
+  std::vector<std::vector<NewRecord>> fresh;
+  std::vector<std::vector<int>> parents;
+  for (const VersionStep& step : history) {
+    rids.push_back(step.rids);
+    fresh.emplace_back();
+    for (RecordId rid : step.fresh) fresh.back().push_back({rid, MixedRow(rid)});
+    parents.push_back(step.parents);
+  }
+  if (bulk) {
+    Status s = backend->LoadVersions(rids, fresh, parents);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return backend;
+  }
+  for (size_t v = 0; v < history.size(); ++v) {
+    Status s = backend->AddVersion(static_cast<int>(v), rids[v], fresh[v],
+                                   parents[v]);
+    EXPECT_TRUE(s.ok()) << "v" << v << ": " << s.ToString();
+  }
+  return backend;
+}
+
+/// Rows `rows` of `src`, one AppendValue(GetValue) per cell.
+Table PerCellCopy(const Table& src, const std::vector<uint32_t>& rows,
+                  Table out) {
+  for (uint32_t r : rows) out.AppendRowUnchecked(src.GetRow(r));
+  return out;
+}
+
+/// The delta-based checkout as a hash-set walk: from the version back to
+/// its root, each hop's delta rows whose records are members not yet
+/// taken, in physical order.
+Table DeltaChainOracle(const DeltaBasedBackend& backend, int vid) {
+  const std::vector<RecordId> members = *backend.VersionRecords(vid);
+  std::unordered_set<RecordId> needed(members.begin(), members.end());
+  Table out("oracle", backend.delta_inserts(vid).schema());
+  for (int v = vid; v >= 0 && !needed.empty(); v = backend.delta_base(v)) {
+    const Table& inserts = backend.delta_inserts(v);
+    std::vector<uint32_t> rows;
+    for (uint32_t r = 0; r < inserts.num_rows(); ++r) {
+      if (needed.erase(inserts.column(0).GetInt(r)) > 0) rows.push_back(r);
+    }
+    out = PerCellCopy(inserts, rows, std::move(out));
+  }
+  EXPECT_TRUE(needed.empty()) << "v" << vid;
+  return out;
+}
+
+/// The split-by-vlist checkout as a scan of the vlists hash-joined with
+/// the data table.
+Table VlistHashJoinOracle(const SplitByVlistBackend& backend, int vid) {
+  const Table& versioning = backend.versioning_table();
+  std::vector<int64_t> rlist;
+  for (uint32_t r : versioning.SelectRowsArrayContains(1, vid)) {
+    rlist.push_back(versioning.column(0).GetInt(r));
+  }
+  const Table& data = backend.data_table();
+  const std::vector<uint32_t> rows = minidb::JoinRids(
+      data, 0, rlist, minidb::JoinAlgorithm::kHashJoin, true);
+  return PerCellCopy(data, rows, Table("oracle", data.schema()));
+}
+
+Table CheckoutOracle(const DataModelBackend& backend, int vid) {
+  if (const auto* delta = dynamic_cast<const DeltaBasedBackend*>(&backend)) {
+    return DeltaChainOracle(*delta, vid);
+  }
+  return VlistHashJoinOracle(
+      dynamic_cast<const SplitByVlistBackend&>(backend), vid);
+}
+
+/// Cell by cell: values, validity, the raw slot of every int64 and double
+/// cell (a NULL's holds zero) and storage bytes.
+void ExpectSamePhysicalTable(const Table& got, const Table& want) {
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  ASSERT_EQ(got.num_columns(), want.num_columns());
+  EXPECT_EQ(got.StorageBytes(), want.StorageBytes());
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    const minidb::Column& g = got.column(c);
+    const minidb::Column& w = want.column(c);
+    ASSERT_EQ(g.type(), w.type()) << "column " << c;
+    for (uint32_t r = 0; r < want.num_rows(); ++r) {
+      ASSERT_EQ(g.IsNull(r), w.IsNull(r)) << "cell " << r << "," << c;
+      ASSERT_EQ(g.GetValue(r), w.GetValue(r)) << "cell " << r << "," << c;
+      if (w.type() == ValueType::kInt64) {
+        ASSERT_EQ(g.int_data()[r], w.int_data()[r]) << "slot " << r;
+      } else if (w.type() == ValueType::kDouble) {
+        ASSERT_EQ(g.double_data()[r], w.double_data()[r]) << "slot " << r;
+      }
+    }
+  }
+}
+
+/// Every version of `history` checks out as the oracle has it, built by
+/// AddVersion and by LoadVersions, with the RidSet gate on and off; and
+/// the checkouts are the same either side of the gate.
+void ExpectCheckoutsMatchOracle(DataModelType type,
+                                const std::vector<VersionStep>& history) {
+  const bool saved = RidSetEnabled();
+  for (bool bulk : {false, true}) {
+    std::vector<Table> gate_on;
+    for (bool gate : {true, false}) {
+      SCOPED_TRACE(std::string(bulk ? "LoadVersions" : "AddVersion") +
+                   (gate ? ", gate on" : ", gate off"));
+      SetRidSetEnabled(gate);
+      auto backend = BuildHistory(type, history, bulk);
+      for (int v = 0; v < backend->num_versions(); ++v) {
+        SCOPED_TRACE("v" + std::to_string(v));
+        auto got = backend->Checkout(v, "out");
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(CheckedOutRids(*got), history[v].rids);
+        ExpectSamePhysicalTable(*got, CheckoutOracle(*backend, v));
+        if (gate) {
+          gate_on.push_back(std::move(*got));
+        } else {
+          ExpectSamePhysicalTable(*got, gate_on[v]);
+        }
+      }
+    }
+  }
+  SetRidSetEnabled(saved);
+}
+
+/// `from` minus `drop`, plus `add`, sorted.
+std::vector<RecordId> Edit(std::vector<RecordId> from,
+                           const std::vector<RecordId>& drop,
+                           const std::vector<RecordId>& add) {
+  std::vector<RecordId> out;
+  for (RecordId rid : from) {
+    if (std::find(drop.begin(), drop.end(), rid) == drop.end()) {
+      out.push_back(rid);
+    }
+  }
+  out.insert(out.end(), add.begin(), add.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<RecordId> Range(RecordId from, RecordId to) {
+  std::vector<RecordId> out;
+  for (RecordId rid = from; rid < to; ++rid) out.push_back(rid);
+  return out;
+}
+
+class RewrittenCheckoutTest : public ::testing::TestWithParam<DataModelType> {
+};
+
+TEST_P(RewrittenCheckoutTest, MergeTakesRecordsFromNonBaseParent) {
+  std::vector<VersionStep> h(5);
+  h[0] = {Range(0, 10), Range(0, 10), {}};
+  h[1] = {Edit(h[0].rids, {0, 1}, {10, 11, 12}), {10, 11, 12}, {0}};
+  h[2] = {Edit(h[0].rids, {9}, {20, 21, 22, 23}), {20, 21, 22, 23}, {0}};
+  // Shares 10 records with v1 and 9 with v2: v1 is the delta base, and 20
+  // and 21 come from the other parent.
+  h[3] = {Edit(h[1].rids, {9}, {20, 21, 30}), {30}, {1, 2}};
+  h[4] = {Edit(h[3].rids, {2, 20}, {31}), {31}, {3}};
+  ExpectCheckoutsMatchOracle(GetParam(), h);
+}
+
+TEST_P(RewrittenCheckoutTest, EmptyVersions) {
+  std::vector<VersionStep> h(5);
+  h[0] = {{}, {}, {}};
+  h[1] = {Range(0, 6), Range(0, 6), {0}};
+  h[2] = {{}, {}, {1}};
+  h[3] = {{6, 7}, {6, 7}, {2}};
+  h[4] = {{1, 2, 6}, {}, {3, 1}};
+  ExpectCheckoutsMatchOracle(GetParam(), h);
+}
+
+TEST_P(RewrittenCheckoutTest, ChainOfMoreThanAHundredHops) {
+  std::vector<VersionStep> h;
+  h.push_back({Range(0, 50), Range(0, 50), {}});
+  for (int v = 1; v <= 120; ++v) {
+    const RecordId fresh = 49 + v;
+    // Drop the oldest record and, every third version, one in the middle.
+    std::vector<RecordId> drop = {h.back().rids.front()};
+    if (v % 3 == 0) drop.push_back(h.back().rids[h.back().rids.size() / 2]);
+    h.push_back({Edit(h.back().rids, drop, {fresh}), {fresh}, {v - 1}});
+  }
+  ExpectCheckoutsMatchOracle(GetParam(), h);
+}
+
+TEST_P(RewrittenCheckoutTest, RidsBeyondOneRidSetChunk) {
+  const RecordId kChunk = 65536;
+  std::vector<VersionStep> h(4);
+  std::vector<RecordId> base;
+  for (RecordId k : {RecordId{0}, kChunk, 3 * kChunk + 17}) {
+    for (RecordId rid : Range(k, k + 20)) base.push_back(rid);
+  }
+  h[0] = {base, base, {}};
+  std::vector<RecordId> add1 = Range(2 * kChunk, 2 * kChunk + 5);
+  h[1] = {Edit(base, {0, kChunk + 3, 3 * kChunk + 20}, add1), add1, {0}};
+  std::vector<RecordId> add2 = Range(5 * kChunk, 5 * kChunk + 3);
+  h[2] = {Edit(h[1].rids, {1, 2 * kChunk + 1}, add2), add2, {1}};
+  h[3] = {Edit(h[2].rids, {kChunk}, {kChunk + 3}), {}, {2, 0}};
+  ExpectCheckoutsMatchOracle(GetParam(), h);
+}
+
+TEST_P(RewrittenCheckoutTest, DataRidsNotAscending) {
+  // Later versions store lower rids, so the data table's rid column is
+  // not ascending (split-by-vlist's unclustered join).
+  std::vector<VersionStep> h(4);
+  h[0] = {Range(1000, 1020), Range(1000, 1020), {}};
+  h[1] = {Edit(h[0].rids, {1000, 1005}, Range(0, 10)), Range(0, 10), {0}};
+  h[2] = {Edit(h[1].rids, {3, 1019}, Range(500, 504)), Range(500, 504), {1}};
+  h[3] = {Edit(h[2].rids, {0}, {}), {}, {2}};
+  ExpectCheckoutsMatchOracle(GetParam(), h);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DeltaAndVlist, RewrittenCheckoutTest,
+    ::testing::Values(DataModelType::kSplitByVlist,
+                      DataModelType::kDeltaBased),
+    [](const auto& info) {
+      return info.param == DataModelType::kDeltaBased ? "DeltaBased"
+                                                       : "SplitByVlist";
+    });
+
+TEST(CommitRecordReplayTest, UnsortedMembershipIsCorruption) {
+  Table initial("t", MixedSchema());
+  for (RecordId rid = 0; rid < 3; ++rid) initial.AppendRowUnchecked(MixedRow(rid));
+  for (DataModelType type :
+       {DataModelType::kSplitByVlist, DataModelType::kDeltaBased}) {
+    Cvd::Options options;
+    options.model = type;
+    auto cvd = Cvd::Init("c", initial, options);
+    ASSERT_TRUE(cvd.ok()) << cvd.status().ToString();
+    auto state = (*cvd)->ExportState();
+    ASSERT_TRUE(state.ok());
+    const std::vector<RecordId> members = (*cvd)->backend()->VersionRecords(0)
+                                              .ValueOrDie();
+    ASSERT_EQ(members.size(), 3u);
+    CvdCommitRecord record;
+    record.vid = 2;
+    record.parents = {1};
+    record.parent_weights = {3};
+    record.rids = {members[1], members[0], members[2]};
+    record.metadata.vid = 2;
+    record.metadata.parents = {1};
+    record.metadata.num_records = 3;
+    record.current_attr_ids = state->current_attr_ids;
+    record.schema_after = state->data_schema;
+    record.next_rid_after = state->next_rid;
+    record.logical_clock_after = state->logical_clock + 1;
+    Status s = (*cvd)->ApplyCommitRecord(record);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+    EXPECT_EQ((*cvd)->num_versions(), 1);
+    // The same record with its membership sorted applies.
+    record.rids = members;
+    s = (*cvd)->ApplyCommitRecord(record);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ((*cvd)->num_versions(), 2);
+  }
 }
 
 TEST(DataModelNameTest, Names) {

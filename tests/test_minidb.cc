@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <vector>
 
+#include "common/ridset.h"
 #include "minidb/database.h"
 #include "minidb/join.h"
 #include "minidb/table.h"
@@ -225,6 +229,177 @@ TEST(TableTest, StorageBytes) {
   ASSERT_TRUE(t.BuildUniqueIntIndex(0).ok());
   EXPECT_EQ(t.IndexBytes(), 10u * 16);
   EXPECT_EQ(t.StorageBytes(), t.DataBytes() + t.IndexBytes());
+}
+
+TEST(ColumnTest, SetNullClearsTheSlot) {
+  // A nulled cell holds what AppendNull leaves: zero, or an empty cell.
+  Column ints(ValueType::kInt64);
+  Column doubles(ValueType::kDouble);
+  Column strings(ValueType::kString);
+  Column arrays(ValueType::kIntArray);
+  for (int64_t i = 0; i < 3; ++i) {
+    ints.AppendInt(i + 7);
+    doubles.AppendDouble(i + 0.5);
+    strings.AppendString("s" + std::to_string(i));
+    arrays.AppendIntArray({1, 2, 3, 4, 5, 6, 7, 8, 9});
+  }
+  for (Column* col : {&ints, &doubles, &strings, &arrays}) {
+    col->SetValue(1, Value::Null());
+    EXPECT_TRUE(col->IsNull(1));
+    EXPECT_FALSE(col->IsNull(0));
+  }
+  EXPECT_EQ(ints.int_data()[1], 0);
+  EXPECT_EQ(ints.int_data()[2], 9);
+  EXPECT_EQ(doubles.double_data()[1], 0.0);
+  EXPECT_TRUE(strings.GetString(1).empty());
+  EXPECT_EQ(arrays.GetRidSet(1), nullptr);
+  EXPECT_TRUE(arrays.GetIntArray(1).empty());
+
+  Column appended(ValueType::kString);
+  appended.AppendString("s0");
+  appended.AppendNull();
+  appended.AppendString("s2");
+  EXPECT_EQ(strings.StorageBytes(), appended.StorageBytes());
+}
+
+/// The oracle Table::AppendFrom must match: one AppendValue(GetValue) per
+/// cell, `cols[c]` feeding column c.
+Table PerCellCopy(const Table& src, const std::vector<uint32_t>& rows,
+                  const std::vector<int>& cols) {
+  std::vector<ColumnDef> defs;
+  for (int c : cols) defs.push_back(src.schema().column(c));
+  Table out("oracle", Schema(std::move(defs)));
+  for (size_t c = 0; c < cols.size(); ++c) {
+    for (uint32_t r : rows) {
+      out.mutable_column(c).AppendValue(src.column(cols[c]).GetValue(r));
+    }
+  }
+  out.CountAppendedRows(rows.size());
+  return out;
+}
+
+/// Cell-by-cell equality of the physical columns: values and their types,
+/// validity, the raw slot of every numeric cell, each array cell's
+/// representation, and storage bytes (which count the validity bitmap, so
+/// they also tell whether one was allocated).
+void ExpectSamePhysicalTable(const Table& got, const Table& want) {
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  ASSERT_EQ(got.num_columns(), want.num_columns());
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    const Column& g = got.column(c);
+    const Column& w = want.column(c);
+    ASSERT_EQ(g.type(), w.type()) << "column " << c;
+    ASSERT_EQ(g.size(), w.size()) << "column " << c;
+    EXPECT_EQ(g.StorageBytes(), w.StorageBytes()) << "column " << c;
+    for (uint32_t r = 0; r < want.num_rows(); ++r) {
+      ASSERT_EQ(g.IsNull(r), w.IsNull(r)) << "cell " << r << "," << c;
+      const Value gv = g.GetValue(r);
+      const Value wv = w.GetValue(r);
+      ASSERT_TRUE(gv.type() == wv.type() && gv == wv)
+          << "cell " << r << "," << c << ": " << gv.ToString() << " vs "
+          << wv.ToString();
+      switch (w.type()) {
+        case ValueType::kInt64:
+          ASSERT_EQ(g.int_data()[r], w.int_data()[r]) << "slot " << r;
+          break;
+        case ValueType::kDouble:
+          ASSERT_EQ(g.double_data()[r], w.double_data()[r]) << "slot " << r;
+          break;
+        case ValueType::kIntArray:
+          ASSERT_EQ(g.GetRidSet(r) != nullptr, w.GetRidSet(r) != nullptr)
+              << "array representation at row " << r;
+          break;
+        default:
+          break;
+      }
+    }
+  }
+}
+
+/// [id int64, score double, name string, tags int-array, widened double
+/// (was int64)] over `n` rows, with NULLs from AppendNull and from
+/// SetValue(null) in every column. Tags are long sorted lists (compressed
+/// while the RidSet gate is on), short ones and unsorted ones (kept plain).
+Table GatherSource(size_t n) {
+  Table t("src", Schema({{"id", ValueType::kInt64},
+                         {"score", ValueType::kDouble},
+                         {"name", ValueType::kString},
+                         {"tags", ValueType::kIntArray},
+                         {"widened", ValueType::kInt64}}));
+  for (size_t i = 0; i < n; ++i) {
+    const auto v = static_cast<int64_t>(i);
+    std::vector<int64_t> tags;
+    if (i % 3 == 0) {
+      for (int64_t k = 0; k < 12; ++k) tags.push_back(v + 3 * k);
+    } else if (i % 3 == 1) {
+      tags = {v, v + 1};
+    } else {
+      tags = {v + 2, v, v + 1};
+    }
+    Row row = {Value(v * 7 - 3), Value(0.25 * v), Value("n" + std::to_string(v)),
+               Value(std::move(tags)), Value(v * 11)};
+    if (i % 5 == 1) row[i % row.size()] = Value::Null();
+    EXPECT_TRUE(t.InsertRow(row).ok());
+  }
+  for (size_t i = 3; i < n; i += 7) {
+    t.mutable_column(i % t.num_columns()).SetValue(i, Value::Null());
+  }
+  EXPECT_TRUE(t.WidenColumn(4, ValueType::kDouble).ok());
+  return t;
+}
+
+TEST(AppendFromGatherTest, MatchesPerCellOracle) {
+  const std::vector<int> all = {0, 1, 2, 3, 4};
+  const std::vector<int> projected = {4, 0, 3, 0};
+  for (bool gate : {true, false}) {
+    const bool saved = orpheus::RidSetEnabled();
+    orpheus::SetRidSetEnabled(gate);
+    for (size_t n : {size_t{40}, size_t{5000}}) {
+      const Table src = GatherSource(n);
+      std::vector<std::vector<uint32_t>> row_lists;
+      row_lists.emplace_back();  // no rows
+      std::vector<uint32_t> every(n);
+      std::iota(every.begin(), every.end(), 0u);
+      row_lists.push_back(every);  // >= 4096 at n = 5000: ParallelFor branch
+      std::vector<uint32_t> scattered;
+      for (uint32_t r = 0; r < n; r += 3) scattered.push_back(n - 1 - r);
+      scattered.push_back(0);
+      scattered.push_back(0);  // a row may repeat
+      row_lists.push_back(scattered);
+      // Only cells that are valid although their columns hold NULLs: the
+      // copy must not allocate a validity bitmap.
+      std::vector<uint32_t> valid_only;
+      for (uint32_t r = 0; r < n; ++r) {
+        bool any_null = false;
+        for (size_t c = 0; c < src.num_columns(); ++c) {
+          any_null |= src.column(c).IsNull(r);
+        }
+        if (!any_null) valid_only.push_back(r);
+      }
+      row_lists.push_back(valid_only);
+      for (const auto& rows : row_lists) {
+        SCOPED_TRACE("gate " + std::to_string(gate) + " n " +
+                     std::to_string(n) + " rows " +
+                     std::to_string(rows.size()));
+        ExpectSamePhysicalTable(src.CopyRows(rows, "copy"),
+                                PerCellCopy(src, rows, all));
+        ExpectSamePhysicalTable(src.ProjectRows(rows, projected, "proj"),
+                                PerCellCopy(src, rows, projected));
+      }
+      // Appending onto rows already present, NULL-free ones then the rest.
+      Table twice = src.CopyRows(valid_only, "twice");
+      twice.AppendFrom(src, every);
+      Table back = PerCellCopy(src, valid_only, all);
+      for (size_t c = 0; c < all.size(); ++c) {
+        for (uint32_t r : every) {
+          back.mutable_column(c).AppendValue(src.column(c).GetValue(r));
+        }
+      }
+      back.CountAppendedRows(every.size());
+      ExpectSamePhysicalTable(twice, back);
+    }
+    orpheus::SetRidSetEnabled(saved);
+  }
 }
 
 class JoinTest : public ::testing::TestWithParam<JoinAlgorithm> {};

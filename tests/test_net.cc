@@ -318,8 +318,7 @@ Table MakeEveryTypeTable() {
          r == 3 ? Value::Null() : Value(std::to_string(r * 7)),
          arrays[static_cast<size_t>(r) % arrays.size()], Value::Null()});
   }
-  // A NULL written over a value keeps its old bytes in the slot; the
-  // codec must still decode a clean NULL.
+  // A NULL written over a value must decode as a clean NULL too.
   t.mutable_column(0).SetValue(1, Value::Null());
   return t;
 }
@@ -407,6 +406,33 @@ TEST_F(NetTest, TableCodecDropsTheCellTypeTag) {
   // name, 2 column defs, row count, then per column a flag + 8 B/cell.
   EXPECT_EQ(enc.data().size(),
             (4 + 4) + 4 + 2 * (4 + 1 + 1) + 4 + 2 * (1 + 100 * 8));
+}
+
+TEST_F(NetTest, TableCodecSendsNoValueUnderANulledCell) {
+  // A cell nulled in a staged table encodes exactly as one appended NULL:
+  // the value it held does not travel in the commit.
+  const Schema schema({{"i", ValueType::kInt64},
+                       {"d", ValueType::kDouble},
+                       {"s", ValueType::kString},
+                       {"a", ValueType::kIntArray}});
+  const minidb::Row values = {Value(int64_t{41}), Value(2.5), Value("secret"),
+                              Value(Iota(5, 20))};
+  const minidb::Row nulls(values.size(), Value::Null());
+  Table appended("t", schema);
+  Table nulled("t", schema);
+  for (int r = 0; r < 3; ++r) {
+    appended.AppendRowUnchecked(r == 1 ? nulls : values);
+    nulled.AppendRowUnchecked(values);
+  }
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    nulled.mutable_column(c).SetValue(1, Value::Null());
+  }
+  EXPECT_EQ(nulled.column(0).int_data()[1], 0);
+  storage::Encoder want;
+  storage::Encoder got;
+  EncodeTable(appended, &want);
+  EncodeTable(nulled, &got);
+  EXPECT_EQ(got.data(), want.data());
 }
 
 /// A kCommit request and a kCheckout response, both carrying the

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,14 +23,6 @@
 
 namespace orpheus::core {
 namespace {
-
-// The delta backend only takes the compressed chain path above a membership
-// crossover; the test datasets sit below it, so lower the threshold to zero
-// (must land before the first checkout caches the parsed value).
-const bool kForceDeltaRidSetPath = [] {
-  ::setenv("ORPHEUS_RIDSET_DELTA_MIN", "0", /*overwrite=*/1);
-  return true;
-}();
 
 /// Restores the previous gate state on scope exit so one failing test
 /// cannot leak a disabled gate into the rest of the suite.
