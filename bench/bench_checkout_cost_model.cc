@@ -67,6 +67,49 @@ double TimeCheckout(const Table& data, const std::vector<int64_t>& rlist,
   return elapsed;
 }
 
+/// Median and interquartile range of repeated timings, in seconds.
+struct Spread {
+  double median = 0;
+  double iqr = 0;
+};
+
+Spread SpreadOf(std::vector<double> secs) {
+  std::sort(secs.begin(), secs.end());
+  auto quantile = [&secs](double q) {
+    const double pos = q * static_cast<double>(secs.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, secs.size() - 1);
+    return secs[lo] + (pos - static_cast<double>(lo)) * (secs[hi] - secs[lo]);
+  };
+  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
+}
+
+struct KernelTimes {
+  Spread plain;
+  Spread ridset;
+};
+
+constexpr int kKernelReps = 7;
+
+/// Times the plain-cell and the RidSet form of one kernel kKernelReps
+/// times each, alternating which runs first so neither form always runs
+/// on the cache state the other left.
+template <typename PlainFn, typename RidSetFn>
+KernelTimes TimeKernels(PlainFn&& plain, RidSetFn&& ridset) {
+  std::vector<double> plain_secs;
+  std::vector<double> ridset_secs;
+  for (int rep = 0; rep < kKernelReps; ++rep) {
+    if (rep % 2 == 0) {
+      plain_secs.push_back(plain());
+      ridset_secs.push_back(ridset());
+    } else {
+      ridset_secs.push_back(ridset());
+      plain_secs.push_back(plain());
+    }
+  }
+  return {SpreadOf(std::move(plain_secs)), SpreadOf(std::move(ridset_secs))};
+}
+
 void Run(int argc, char** argv) {
   int scale = ParseScale(argc, argv);
   std::vector<int64_t> rk_sizes = {125000, 250000, 500000, 1000000};
@@ -164,20 +207,33 @@ void Run(int argc, char** argv) {
             << " (|Rk|=" << StrFormat("%.2fM", rk / 1e6) << ") ===\n";
   scaling.Print(std::cout);
 
-  // Compressed membership index: the same checkout with the rlist held as
-  // a plain i64 vector (ORPHEUS_RIDSET=0 behaviour: hash join) vs as a
-  // compressed RidSet probed in place (ORPHEUS_RIDSET=1 behaviour:
-  // container-at-a-time IntersectToRows), one binary. Production builds
-  // the set once at commit time, so construction stays outside the timer.
+  // Array-cell kernels: the same work over the two forms an rlist/vlist
+  // cell takes, a plain sorted i64 vector and a compressed RidSet. Cells
+  // are built before the timer, as production builds them at commit time.
   ThreadPool::Global().SetDegree(n_threads);
-  auto median3 = [](auto&& fn) {
-    double a = fn();
-    double b = fn();
-    double c = fn();
-    return std::max(std::min(a, b), std::min(std::max(a, b), c));
+  TablePrinter kernels({"kernel", "plain (median)", "plain (IQR)",
+                        "ridset (median)", "ridset (IQR)", "plain/ridset"});
+  auto add_kernel_row = [&kernels](const std::string& label,
+                                   const std::string& gauge_prefix,
+                                   const KernelTimes& t) {
+    const double ratio = t.plain.median / std::max(1e-9, t.ridset.median);
+    kernels.AddRow({label, HumanSeconds(t.plain.median),
+                    HumanSeconds(t.plain.iqr), HumanSeconds(t.ridset.median),
+                    HumanSeconds(t.ridset.iqr), StrFormat("%.2fx", ratio)});
+    // Dynamic names: direct registry handles instead of the literal-name
+    // macros.
+    auto& reg = MetricsRegistry::Global();
+    auto us = [](double secs) { return static_cast<int64_t>(secs * 1e6); };
+    reg.gauge(gauge_prefix + ".plain_us").Set(us(t.plain.median));
+    reg.gauge(gauge_prefix + ".plain_iqr_us").Set(us(t.plain.iqr));
+    reg.gauge(gauge_prefix + ".ridset_us").Set(us(t.ridset.median));
+    reg.gauge(gauge_prefix + ".ridset_iqr_us").Set(us(t.ridset.iqr));
+    reg.gauge(gauge_prefix + ".speedup_x100")
+        .Set(static_cast<int64_t>(ratio * 100));
   };
-  TablePrinter ridset_table(
-      {"|rlist|", "plain rlist (off)", "ridset (on)", "speedup"});
+
+  // rlist join: the checkout of one version, hash join over the plain
+  // rlist vs container-at-a-time IntersectToRows over the set.
   for (int64_t rl : rlist_sizes) {
     Xorshift rng(41);
     auto sample = rng.SampleWithoutReplacement(static_cast<uint64_t>(rk),
@@ -185,39 +241,89 @@ void Run(int argc, char** argv) {
     std::vector<int64_t> rlist(sample.begin(), sample.end());
     std::sort(rlist.begin(), rlist.end());
     const RidSet set = RidSet::FromSorted(rlist);
-    double off_secs = median3([&]() {
-      return TimeCheckout(data, rlist, JoinAlgorithm::kHashJoin, true);
-    });
-    double on_secs = median3([&]() {
-      Timer timer;
-      auto rows = minidb::JoinRidSet(data, 0, set, /*clustered_on_rid=*/true);
-      Table result = data.CopyRows(rows, "checkout");
-      double elapsed = timer.ElapsedSeconds();
-      if (result.num_rows() != rlist.size()) {
-        std::cerr << "ridset join lost rows\n";
-        std::exit(1);
-      }
-      return elapsed;
-    });
-    double speedup = off_secs / std::max(1e-9, on_secs);
-    ridset_table.AddRow({StrFormat("%lldK", static_cast<long long>(rl / 1000)),
-                         HumanSeconds(off_secs), HumanSeconds(on_secs),
-                         StrFormat("%.2fx", speedup)});
-    // Dynamic names: direct registry handles instead of the literal-name
-    // macros.
-    auto& reg = MetricsRegistry::Global();
-    const std::string prefix =
+    KernelTimes t = TimeKernels(
+        [&]() {
+          return TimeCheckout(data, rlist, JoinAlgorithm::kHashJoin, true);
+        },
+        [&]() {
+          Timer timer;
+          auto rows =
+              minidb::JoinRidSet(data, 0, set, /*clustered_on_rid=*/true);
+          Table result = data.CopyRows(rows, "checkout");
+          double elapsed = timer.ElapsedSeconds();
+          if (result.num_rows() != rlist.size()) {
+            std::cerr << "ridset join lost rows\n";
+            std::exit(1);
+          }
+          return elapsed;
+        });
+    add_kernel_row(
+        StrFormat("rlist join |rlist|=%lldK", static_cast<long long>(rl / 1000)),
         StrFormat("bench.ridset.checkout.rl%lldk",
-                  static_cast<long long>(rl / 1000));
-    reg.gauge(prefix + ".off_us").Set(static_cast<int64_t>(off_secs * 1e6));
-    reg.gauge(prefix + ".on_us").Set(static_cast<int64_t>(on_secs * 1e6));
-    reg.gauge(prefix + ".speedup_x100")
-        .Set(static_cast<int64_t>(speedup * 100));
+                  static_cast<long long>(rl / 1000)),
+        t);
   }
-  std::cout << "\n=== Checkout with compressed membership index "
-               "(ORPHEUS_RIDSET off vs on, |Rk|="
-            << StrFormat("%.2fM", rk / 1e6) << ", rid-clustered) ===\n";
-  ridset_table.Print(std::cout);
+
+  // vlist probe: the combined-table / split-by-vlist scan, one membership
+  // test per record's vlist, std::binary_search over the plain cells vs
+  // ContainsHint over the sets. The vlists are SCI_1M's, inverted from the
+  // generated memberships; each timing scans every cell for 20 versions.
+  {
+    const NamedConfig named = Table52Configs(scale, false).front();
+    std::cerr << "generating " << named.paper_name << " for the vlist probe\n";
+    const auto ds = benchdata::VersionedDataset::Generate(named.config);
+    std::vector<std::vector<int64_t>> vlists(ds.num_distinct_records());
+    for (int v = 0; v < ds.num_versions(); ++v) {
+      for (core::RecordId rid : ds.version(v).records) {
+        vlists[rid].push_back(v);
+      }
+    }
+    std::vector<RidSet> sets;
+    sets.reserve(vlists.size());
+    for (const auto& vlist : vlists) sets.push_back(RidSet::FromSorted(vlist));
+    std::vector<int64_t> needles;
+    for (int k = 0; k < 20; ++k) {
+      needles.push_back(static_cast<int64_t>(k) * ds.num_versions() / 20);
+    }
+    size_t plain_hits = 0;
+    size_t ridset_hits = 0;
+    KernelTimes t = TimeKernels(
+        [&]() {
+          Timer timer;
+          size_t hits = 0;
+          for (int64_t needle : needles) {
+            for (const auto& vlist : vlists) {
+              hits += std::binary_search(vlist.begin(), vlist.end(), needle);
+            }
+          }
+          plain_hits = hits;
+          return timer.ElapsedSeconds();
+        },
+        [&]() {
+          Timer timer;
+          size_t hits = 0;
+          for (int64_t needle : needles) {
+            size_t hint = 0;
+            for (const RidSet& set : sets) {
+              hits += set.ContainsHint(needle, &hint);
+            }
+          }
+          ridset_hits = hits;
+          return timer.ElapsedSeconds();
+        });
+    if (plain_hits != ridset_hits) {
+      std::cerr << "vlist probes disagree\n";
+      std::exit(1);
+    }
+    add_kernel_row(StrFormat("vlist probe %zu cells x %zu", vlists.size(),
+                             needles.size()),
+                   "bench.ridset.vlist_probe", t);
+  }
+  std::cout << "\n=== Array-cell kernels, plain vector vs RidSet (rlist "
+               "joins over |Rk|="
+            << StrFormat("%.2fM", rk / 1e6) << " rid-clustered rows; "
+            << kKernelReps << " runs each, order alternating) ===\n";
+  kernels.Print(std::cout);
 }
 
 }  // namespace

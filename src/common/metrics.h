@@ -252,7 +252,11 @@ class TraceSpan {
 
  private:
   static constexpr size_t kMaxPath = 160;
-  static thread_local TraceSpan* current_;
+  /// This thread's innermost live span. Defined inline with a constant
+  /// initializer so every translation unit accesses it directly, not
+  /// through GCC's thread_local wrapper function, whose result GCC 12's
+  /// -fsanitize=null reports as a null pointer on the constructor's store.
+  static inline thread_local TraceSpan* current_ = nullptr;
 
   /// Per-name direct-child wall time, accumulated only while the slow-op
   /// log is enabled; a closing top-level span over the threshold renders

@@ -1,14 +1,11 @@
 #include "common/ridset.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
 
-#include "common/env.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
-#include "common/sync.h"
 
 namespace orpheus {
 
@@ -293,22 +290,7 @@ class BlobReader {
   size_t pos_ = 0;
 };
 
-std::atomic<int> g_ridset_enabled{-1};  // -1: not yet read from env
-
 }  // namespace
-
-bool RidSetEnabled() {
-  int v = g_ridset_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = ParseEnvBool("ORPHEUS_RIDSET", true) ? 1 : 0;
-    g_ridset_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
-}
-
-void SetRidSetEnabled(bool enabled) {
-  g_ridset_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 RidSet RidSet::FromSorted(const std::vector<int64_t>& sorted_unique) {
   RidSet out;
@@ -559,21 +541,6 @@ std::vector<int64_t> RidSet::ToVector() const {
     }
   }
   return out;
-}
-
-const std::vector<int64_t>& RidSet::Materialized() const {
-  // Global lock: materialization is the cold legacy path; the fill happens
-  // once and the vector is immutable afterwards, so handing out a reference
-  // is safe across threads.
-  static Mutex mu("ridset.materialize", lock_rank::kRidSetMaterialize);
-  MutexLock lock(&mu);
-  if (!materialized_) {
-    materialized_ = std::make_shared<const std::vector<int64_t>>(ToVector());
-    ORPHEUS_COUNTER_ADD("ridset.materialize.calls", 1);
-    ORPHEUS_COUNTER_ADD("ridset.materialize.values",
-                        static_cast<int64_t>(cardinality_));
-  }
-  return *materialized_;
 }
 
 uint64_t RidSet::SizeBytes() const {

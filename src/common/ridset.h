@@ -29,8 +29,8 @@ namespace orpheus {
 ///
 /// Instances are immutable after construction; share them via
 /// std::shared_ptr<const RidSet>. Mutation happens by building a new set
-/// (WithAppended, Intersect, ...). Materialized() lazily caches a plain
-/// std::vector<int64_t> view for legacy callers.
+/// (WithAppended, Intersect, ...). Readers probe it in place; ToVector() is
+/// the one decompression, for cold paths that need a plain list.
 class RidSet {
  public:
   enum class ContainerType : uint8_t { kArray = 0, kBitmap = 1, kRun = 2 };
@@ -99,10 +99,6 @@ class RidSet {
   /// Decompress to a fresh ascending vector.
   std::vector<int64_t> ToVector() const;
 
-  /// Lazily materialized plain view for legacy callers; built once under a
-  /// lock, immutable afterwards.
-  const std::vector<int64_t>& Materialized() const;
-
   /// In-memory footprint mirroring StorageBytes accounting: per-container
   /// header plus payload bytes.
   uint64_t SizeBytes() const;
@@ -130,15 +126,7 @@ class RidSet {
 
   std::vector<Container> containers_;  // strictly ascending by key
   size_t cardinality_ = 0;
-  // Lazy Materialized() cache; guarded by a global mutex in ridset.cc.
-  mutable std::shared_ptr<const std::vector<int64_t>> materialized_;
 };
-
-/// Global gate for the compressed representation (checked at insert sites).
-/// Initialized from ORPHEUS_RIDSET (default on); SetRidSetEnabled overrides
-/// it programmatically so benches can compare both modes in one process.
-bool RidSetEnabled();
-void SetRidSetEnabled(bool enabled);
 
 }  // namespace orpheus
 

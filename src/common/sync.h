@@ -126,7 +126,6 @@ inline constexpr int kSessionData = 5;       // session/session.cc (CVD state)
 inline constexpr int kRepository = 10;       // storage/repository.cc
 inline constexpr int kThreadPool = 20;       // common/thread_pool.cc (queue)
 inline constexpr int kTaskGroup = 30;        // common/thread_pool.cc (groups)
-inline constexpr int kRidSetMaterialize = 40;  // common/ridset.cc
 inline constexpr int kTraceRegistry = 50;    // common/trace.cc
 inline constexpr int kFailpointRegistry = 60;  // common/failpoint.cc
 inline constexpr int kEnvWarnOnce = 70;      // common/env.cc

@@ -706,8 +706,10 @@ Result<std::vector<RecordId>> SplitByRlistBackend::VersionRecords(
     int vid) const {
   auto row = versioning_.LookupUniqueInt(0, vid);
   if (!row) return BadVersion(vid);
-  const auto& rlist = versioning_.column(1).GetIntArray(*row);
-  return std::vector<RecordId>(rlist.begin(), rlist.end());
+  if (const auto& set = versioning_.column(1).GetRidSet(*row)) {
+    return set->ToVector();
+  }
+  return versioning_.column(1).GetIntArray(*row);
 }
 
 Result<minidb::Table> SplitByRlistBackend::Checkout(
@@ -719,17 +721,19 @@ Result<minidb::Table> SplitByRlistBackend::Checkout(
   // against the packed containers (IntersectToRows when the data table is
   // rid-ascending, a parallel probe scan otherwise). An explicitly chosen
   // non-default join algorithm (the Sec. 5.5.5 ablation) still runs its
-  // requested plan over the materialized rlist.
+  // requested plan over the decompressed rlist.
   const auto& rlist_set = versioning_.column(1).GetRidSet(*row);
   if (rlist_set && join_algo_ == minidb::JoinAlgorithm::kHashJoin) {
     std::vector<uint32_t> rows =
         minidb::JoinRidSet(data_, 0, *rlist_set, data_rid_ascending_);
     return data_.CopyRows(rows, out);
   }
-  const auto& rlist = versioning_.column(1).GetIntArray(*row);
   // ... then join rids with the data table (hash-join by default).
-  std::vector<uint32_t> rows =
-      minidb::JoinRids(data_, 0, rlist, join_algo_, /*clustered_on_rid=*/true);
+  const std::vector<int64_t> rlist =
+      rlist_set ? rlist_set->ToVector()
+                : versioning_.column(1).GetIntArray(*row);
+  std::vector<uint32_t> rows = minidb::JoinRids(
+      data_, 0, rlist, join_algo_, /*clustered_on_rid=*/data_rid_ascending_);
   return data_.CopyRows(rows, out);
 }
 

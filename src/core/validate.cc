@@ -225,16 +225,18 @@ void ValidatePartitionedStore(const PartitionedStore& store,
       }
       // Compressed rlist cells carry internal invariants of their own
       // (chunk ordering, cardinality agreement, no empty containers,
-      // canonical container choice) — check them before materializing.
-      if (const auto& set = versioning.column(1).GetRidSet(r); set) {
+      // canonical container choice) — check them before decompressing.
+      const auto& set = versioning.column(1).GetRidSet(r);
+      if (set) {
         if (Status s = set->Validate(); !s.ok()) {
           report->Add(kStoreComponent, ctx,
                       StrFormat("version %d compressed rlist invalid: %s", v,
                                 s.ToString().c_str()));
-          continue;  // materialized view would be untrustworthy
+          continue;  // its decompressed ids would be untrustworthy
         }
       }
-      const auto& rlist = versioning.column(1).GetIntArray(r);
+      const std::vector<int64_t> rlist =
+          set ? set->ToVector() : versioning.column(1).GetIntArray(r);
       for (size_t i = 0; i < rlist.size(); ++i) {
         if (i > 0 && rlist[i] <= rlist[i - 1]) {
           report->Add(kStoreComponent, ctx,

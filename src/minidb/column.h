@@ -19,11 +19,11 @@ namespace orpheus::minidb {
 /// variant, which keeps paper-scale workloads in memory.
 ///
 /// kIntArray cells (the rlist/vlist versioning attributes) hold either a
-/// plain vector or a shared compressed RidSet (common/ridset.h). Appends of
-/// sorted-unique arrays compress automatically when RidSetEnabled(); callers
-/// on the checkout hot path use GetRidSet() to operate on the compressed
-/// form directly, while GetIntArray() transparently materializes for legacy
-/// code.
+/// plain vector or a shared compressed RidSet (common/ridset.h), chosen from
+/// the contents alone: an appended array that is sorted, duplicate-free and
+/// at least RidSet::kMinCompressElems long is stored compressed. Readers
+/// branch on GetRidSet() and probe the set in place; GetIntArray() reads
+/// plain cells only.
 class Column {
  public:
   explicit Column(ValueType type) : type_(type) {}
@@ -83,31 +83,17 @@ class Column {
   int64_t GetInt(size_t i) const { return ints_[i]; }
   double GetDouble(size_t i) const { return doubles_[i]; }
   const std::string& GetString(size_t i) const { return strings_[i]; }
+  /// The ids of plain cell `i`; a compressed cell (GetRidSet(i) non-null)
+  /// must be read through its set.
   const std::vector<int64_t>& GetIntArray(size_t i) const {
-    const ArrayCell& cell = arrays_[i];
-    return cell.set ? cell.set->Materialized() : cell.plain;
-  }
-  std::vector<int64_t>& MutableIntArray(size_t i) {
-    ArrayCell& cell = arrays_[i];
-    if (cell.set) {  // demote to plain; the caller is about to mutate
-      cell.plain = cell.set->ToVector();
-      cell.set = nullptr;
-    }
-    return cell.plain;
+    assert(arrays_[i].set == nullptr);
+    return arrays_[i].plain;
   }
 
   /// The compressed payload of cell `i`, or nullptr when the cell is stored
   /// as a plain vector.
   const std::shared_ptr<const orpheus::RidSet>& GetRidSet(size_t i) const {
     return arrays_[i].set;
-  }
-  /// Overwrite cell `i` with a compressed set (must be non-null).
-  void SetRidSet(size_t i, std::shared_ptr<const orpheus::RidSet> set) {
-    assert(set != nullptr);
-    arrays_[i].plain.clear();
-    arrays_[i].plain.shrink_to_fit();
-    arrays_[i].set = std::move(set);
-    if (!valid_.empty()) valid_[i] = 1;
   }
 
   /// Boxed accessor (respects nulls).
@@ -142,12 +128,10 @@ class Column {
     std::shared_ptr<const orpheus::RidSet> set;
   };
 
-  /// Compress sorted-unique arrays at insert time when the gate is on.
+  /// Compress sorted-unique arrays of RidSet::kMinCompressElems or more.
   static ArrayCell MakeArrayCell(std::vector<int64_t> v) {
-    if (orpheus::RidSetEnabled()) {
-      if (auto set = orpheus::RidSet::TryFromVector(v)) {
-        return ArrayCell{{}, std::move(set)};
-      }
+    if (auto set = orpheus::RidSet::TryFromVector(v)) {
+      return ArrayCell{{}, std::move(set)};
     }
     return ArrayCell{std::move(v), nullptr};
   }

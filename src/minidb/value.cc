@@ -16,19 +16,15 @@ const char* ValueTypeName(ValueType t) {
   return "?";
 }
 
-const std::vector<int64_t>& Value::AsIntArray() const {
-  if (const auto* set = std::get_if<std::shared_ptr<const RidSet>>(&var_)) {
-    return (*set)->Materialized();
-  }
-  return std::get<std::vector<int64_t>>(var_);
+namespace {
+
+/// The ids of an int-array value, decompressed when it is held as a set.
+std::vector<int64_t> IntArrayIds(const Value& v) {
+  if (const auto* set = v.TryRidSet()) return (*set)->ToVector();
+  return v.AsIntArray();
 }
 
-std::vector<int64_t>& Value::MutableIntArray() {
-  if (const auto* set = std::get_if<std::shared_ptr<const RidSet>>(&var_)) {
-    var_ = (*set)->ToVector();
-  }
-  return std::get<std::vector<int64_t>>(var_);
-}
+}  // namespace
 
 bool Value::operator==(const Value& other) const {
   if (type() != other.type()) return false;
@@ -38,7 +34,8 @@ bool Value::operator==(const Value& other) const {
   // Compressed sets are canonical, so same-representation equality is a
   // cheap structural compare; mixed representations compare element-wise.
   if (a && b) return (*a == *b) || (**a == **b);
-  return AsIntArray() == other.AsIntArray();
+  if (!a && !b) return AsIntArray() == other.AsIntArray();
+  return IntArrayIds(*this) == IntArrayIds(other);
 }
 
 bool Value::operator<(const Value& other) const {
@@ -53,7 +50,9 @@ bool Value::operator<(const Value& other) const {
   if (a_num && b_num) return NumericValue() < other.NumericValue();
   if (a != b) return static_cast<int>(a) < static_cast<int>(b);
   if (a == ValueType::kString) return AsString() < other.AsString();
-  if (a == ValueType::kIntArray) return AsIntArray() < other.AsIntArray();
+  if (a == ValueType::kIntArray) {
+    return IntArrayIds(*this) < IntArrayIds(other);
+  }
   return false;
 }
 
@@ -69,7 +68,7 @@ std::string Value::ToString() const {
       return AsString();
     case ValueType::kIntArray: {
       std::string out = "{";
-      const auto& arr = AsIntArray();
+      const std::vector<int64_t> arr = IntArrayIds(*this);
       for (size_t i = 0; i < arr.size(); ++i) {
         if (i) out += ",";
         out += std::to_string(arr[i]);

@@ -33,8 +33,8 @@ const char* ValueTypeName(ValueType t);
 /// kIntArray cells have two physical representations: a plain
 /// std::vector<int64_t>, or a shared compressed RidSet (the canonical form
 /// for sorted rlist/vlist sets — see common/ridset.h). Both report
-/// ValueType::kIntArray and compare equal by content; AsIntArray() lazily
-/// materializes the compressed form for legacy callers.
+/// ValueType::kIntArray and compare equal by content. Readers branch on
+/// TryRidSet(); AsIntArray() reads the plain form only.
 class Value {
  public:
   Value() : var_(std::monostate{}) {}
@@ -66,13 +66,13 @@ class Value {
   double AsDouble() const { return std::get<double>(var_); }
   const std::string& AsString() const { return std::get<std::string>(var_); }
 
-  /// Plain int-array view; materializes (and caches) the compressed
-  /// representation when needed.
-  const std::vector<int64_t>& AsIntArray() const;
-
-  /// Mutable int-array view; demotes a compressed cell to a plain vector in
-  /// place first.
-  std::vector<int64_t>& MutableIntArray();
+  /// The ids of a plain int-array value (TryRidSet() == nullptr).
+  const std::vector<int64_t>& AsIntArray() const {
+    return std::get<std::vector<int64_t>>(var_);
+  }
+  std::vector<int64_t>& MutableIntArray() {
+    return std::get<std::vector<int64_t>>(var_);
+  }
 
   /// The compressed payload, or nullptr when this is not a compressed
   /// int-array cell.

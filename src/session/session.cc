@@ -259,16 +259,6 @@ Result<minidb::Table> SessionManager::Diff(core::VersionId a,
   return cvd_->Diff(a, b);
 }
 
-Result<CommitOutcome> SessionManager::CommitStaged(
-    const minidb::Table& table, const std::vector<core::VersionId>& parents,
-    const std::string& message, const std::string& author) {
-  CommitOutcome out;
-  PendingDurability pending;
-  ORPHEUS_RETURN_NOT_OK(CommitStaged(table, parents, message, author,
-                                     Deadline::Infinite(), &out, &pending));
-  return out;
-}
-
 Status SessionManager::CommitStaged(
     const minidb::Table& table, const std::vector<core::VersionId>& parents,
     const std::string& message, const std::string& author,

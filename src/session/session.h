@@ -216,13 +216,8 @@ class SessionManager {
   Result<minidb::Table> Diff(core::VersionId a, core::VersionId b,
                              core::VersionId watermark) const;
 
-  /// The optimistic-commit protocol (see session.cc for the lock dance).
-  Result<CommitOutcome> CommitStaged(const minidb::Table& table,
-                                     const std::vector<core::VersionId>& parents,
-                                     const std::string& message,
-                                     const std::string& author);
-
-  /// Deadline-bounded CommitStaged. On DeadlineExceeded `*pending` holds
+  /// The optimistic-commit protocol (see session.cc for the lock dance),
+  /// bounded by `deadline`. On DeadlineExceeded `*pending` holds
   /// the in-flight tickets plus the parked outcome (the apply already
   /// happened); the manager is NOT poisoned — durability is unknown, not
   /// failed. Resolve by calling WaitPendingDurable.

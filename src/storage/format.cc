@@ -303,7 +303,7 @@ void EncodeRidSet(const RidSet& set, Encoder* enc) {
     enc->PutU8(1);
     enc->PutString(set.SerializeBlob());
   } else {
-    EncodeRidList(set.Materialized(), enc);
+    EncodeRidList(set.ToVector(), enc);
   }
 }
 
@@ -360,16 +360,13 @@ Result<minidb::Value> DecodeValue(Decoder* dec) {
 
 Result<minidb::Value> DecodeIntArray(Decoder* dec) {
   // Peek the rid-list tag: packed blobs become compressed cells without a
-  // decompression round-trip when the gate is on.
+  // decompression round-trip.
   const uint64_t tag_offset = dec->file_offset();
   ORPHEUS_ASSIGN_OR_RETURN(uint8_t packed, dec->GetU8());
   if (packed == 1) {
     ORPHEUS_ASSIGN_OR_RETURN(std::string blob, dec->GetString());
     ORPHEUS_ASSIGN_OR_RETURN(RidSet set, RidSet::DeserializeBlob(blob));
-    if (RidSetEnabled()) {
-      return minidb::Value(std::make_shared<const RidSet>(std::move(set)));
-    }
-    return minidb::Value(set.ToVector());
+    return minidb::Value(std::make_shared<const RidSet>(std::move(set)));
   }
   if (packed != 0) {
     return Status::DataLoss(StrFormat(

@@ -202,8 +202,7 @@ Result<minidb::Value> DecodeValue(Decoder* dec);
 /// Rid-list payload: u8 tag — 0 = raw (u32 count + i64 each, the defensive
 /// encoding for short or non-sorted-unique lists), 1 = packed RidSet chunk
 /// blob. The choice is a deterministic function of the list contents, so
-/// the bytes written do not depend on the in-memory representation (or on
-/// ORPHEUS_RIDSET).
+/// the bytes written do not depend on the in-memory representation.
 void EncodeRidList(const std::vector<int64_t>& rids, Encoder* enc);
 Result<std::vector<int64_t>> DecodeRidList(Decoder* dec);
 
@@ -212,8 +211,8 @@ Result<std::vector<int64_t>> DecodeRidList(Decoder* dec);
 /// canonical blob without a round-trip through a vector.
 void EncodeIntArrayCell(const minidb::Column& col, size_t row, Encoder* enc);
 
-/// A kIntArray cell in rid-list form: packed blobs become compressed cells
-/// when RidSetEnabled(), plain vectors otherwise.
+/// A kIntArray cell in rid-list form: packed blobs become compressed cells,
+/// raw lists plain vectors.
 Result<minidb::Value> DecodeIntArray(Decoder* dec);
 
 }  // namespace orpheus::storage

@@ -514,37 +514,31 @@ void ExpectSameCvd(const Cvd& bulk, const Cvd& replay) {
   EXPECT_EQ(bulk.StorageBytes(), replay.StorageBytes());
 }
 
-/// Load `state` under every model with the RidSet gate on and off, through
-/// FromState and through the per-version replay, and compare the two.
+/// Load `state` under every model, through FromState and through the
+/// per-version replay, and compare the two.
 void ExpectLoadMatchesReplay(const CvdState& state) {
-  const bool gate = RidSetEnabled();
-  for (bool enabled : {true, false}) {
-    SetRidSetEnabled(enabled);
-    for (DataModelType model : kAllModels) {
-      SCOPED_TRACE(std::string(DataModelTypeName(model)) +
-                   (enabled ? ", ridset on" : ", ridset off"));
-      CvdState st = state;
-      st.model = model;
-      auto bulk = Cvd::FromState(st);
-      ASSERT_TRUE(bulk.ok()) << bulk.status().ToString();
-      std::unique_ptr<Cvd> replay = ReplayPerVersion(st);
-      ASSERT_NE(replay, nullptr);
-      ASSERT_NO_FATAL_FAILURE(ExpectSameCvd(**bulk, *replay));
-      ValidationReport report;
-      ValidateCvd(**bulk, &report);
-      EXPECT_TRUE(report.ok()) << report.ToString();
+  for (DataModelType model : kAllModels) {
+    SCOPED_TRACE(DataModelTypeName(model));
+    CvdState st = state;
+    st.model = model;
+    auto bulk = Cvd::FromState(st);
+    ASSERT_TRUE(bulk.ok()) << bulk.status().ToString();
+    std::unique_ptr<Cvd> replay = ReplayPerVersion(st);
+    ASSERT_NE(replay, nullptr);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameCvd(**bulk, *replay));
+    ValidationReport report;
+    ValidateCvd(**bulk, &report);
+    EXPECT_TRUE(report.ok()) << report.ToString();
 
-      // One more commit on each: the loaded index and vlists are live.
-      const VersionId parent = (*bulk)->latest();
-      auto va = (*bulk)->CommitTable(NextCommit(**bulk), {parent}, "next");
-      auto vb = replay->CommitTable(NextCommit(*replay), {parent}, "next");
-      ASSERT_TRUE(va.ok()) << va.status().ToString();
-      ASSERT_TRUE(vb.ok()) << vb.status().ToString();
-      EXPECT_EQ(*va, *vb);
-      ASSERT_NO_FATAL_FAILURE(ExpectSameCvd(**bulk, *replay));
-    }
+    // One more commit on each: the loaded index and vlists are live.
+    const VersionId parent = (*bulk)->latest();
+    auto va = (*bulk)->CommitTable(NextCommit(**bulk), {parent}, "next");
+    auto vb = replay->CommitTable(NextCommit(*replay), {parent}, "next");
+    ASSERT_TRUE(va.ok()) << va.status().ToString();
+    ASSERT_TRUE(vb.ok()) << vb.status().ToString();
+    EXPECT_EQ(*va, *vb);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameCvd(**bulk, *replay));
   }
-  SetRidSetEnabled(gate);
 }
 
 /// A generated dataset in snapshot form (payloads all int64).
@@ -654,22 +648,19 @@ TEST(LoadEquivalenceTest, VlistsAroundCompressionThreshold) {
 
   // The threshold shows in the loaded vlists: 7 vids stay plain, 8 and 9
   // compress.
-  const bool gate = RidSetEnabled();
-  SetRidSetEnabled(true);
   state.model = DataModelType::kCombinedTable;
   auto cvd = Cvd::FromState(state).MoveValueOrDie();
-  SetRidSetEnabled(gate);
   const auto* backend =
       dynamic_cast<const CombinedTableBackend*>(cvd->backend());
   ASSERT_NE(backend, nullptr);
   const Table& combined = backend->combined_table();
   const minidb::Column& vlists = combined.column(combined.num_columns() - 1);
+  ASSERT_EQ(vlists.GetRidSet(0), nullptr);
   EXPECT_EQ(vlists.GetIntArray(0).size(), 7u);
-  EXPECT_EQ(vlists.GetRidSet(0), nullptr);
-  EXPECT_EQ(vlists.GetIntArray(1).size(), 8u);
-  EXPECT_NE(vlists.GetRidSet(1), nullptr);
-  EXPECT_EQ(vlists.GetIntArray(2).size(), 9u);
-  EXPECT_NE(vlists.GetRidSet(2), nullptr);
+  ASSERT_NE(vlists.GetRidSet(1), nullptr);
+  EXPECT_EQ(vlists.GetRidSet(1)->size(), 8u);
+  ASSERT_NE(vlists.GetRidSet(2), nullptr);
+  EXPECT_EQ(vlists.GetRidSet(2)->size(), 9u);
 }
 
 TEST(LoadEquivalenceTest, EmptyVersion) {

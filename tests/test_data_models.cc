@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/ridset.h"
 #include "core/cvd.h"
 #include "core/data_models.h"
 #include "minidb/join.h"
@@ -372,33 +371,20 @@ void ExpectSamePhysicalTable(const Table& got, const Table& want) {
 }
 
 /// Every version of `history` checks out as the oracle has it, built by
-/// AddVersion and by LoadVersions, with the RidSet gate on and off; and
-/// the checkouts are the same either side of the gate.
+/// AddVersion and by LoadVersions.
 void ExpectCheckoutsMatchOracle(DataModelType type,
                                 const std::vector<VersionStep>& history) {
-  const bool saved = RidSetEnabled();
   for (bool bulk : {false, true}) {
-    std::vector<Table> gate_on;
-    for (bool gate : {true, false}) {
-      SCOPED_TRACE(std::string(bulk ? "LoadVersions" : "AddVersion") +
-                   (gate ? ", gate on" : ", gate off"));
-      SetRidSetEnabled(gate);
-      auto backend = BuildHistory(type, history, bulk);
-      for (int v = 0; v < backend->num_versions(); ++v) {
-        SCOPED_TRACE("v" + std::to_string(v));
-        auto got = backend->Checkout(v, "out");
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_EQ(CheckedOutRids(*got), history[v].rids);
-        ExpectSamePhysicalTable(*got, CheckoutOracle(*backend, v));
-        if (gate) {
-          gate_on.push_back(std::move(*got));
-        } else {
-          ExpectSamePhysicalTable(*got, gate_on[v]);
-        }
-      }
+    SCOPED_TRACE(bulk ? "LoadVersions" : "AddVersion");
+    auto backend = BuildHistory(type, history, bulk);
+    for (int v = 0; v < backend->num_versions(); ++v) {
+      SCOPED_TRACE("v" + std::to_string(v));
+      auto got = backend->Checkout(v, "out");
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(CheckedOutRids(*got), history[v].rids);
+      ExpectSamePhysicalTable(*got, CheckoutOracle(*backend, v));
     }
   }
-  SetRidSetEnabled(saved);
 }
 
 /// `from` minus `drop`, plus `add`, sorted.

@@ -181,9 +181,8 @@ TEST(TableTest, RewriteRowAppendToArray) {
   t.AppendRowUnchecked({Value(int64_t{9}), Value(std::vector<int64_t>{1})});
   ASSERT_TRUE(t.BuildUniqueIntIndex(0).ok());
   t.RewriteRowAppendToArray(0, 1, 5);
-  const auto& arr = t.column(1).GetIntArray(0);
-  ASSERT_EQ(arr.size(), 2u);
-  EXPECT_EQ(arr[1], 5);
+  ASSERT_EQ(t.column(1).GetRidSet(0), nullptr);
+  EXPECT_EQ(t.column(1).GetIntArray(0), (std::vector<int64_t>{1, 5}));
   EXPECT_EQ(*t.LookupUniqueInt(0, 9), 0u);
 }
 
@@ -318,8 +317,8 @@ void ExpectSamePhysicalTable(const Table& got, const Table& want) {
 
 /// [id int64, score double, name string, tags int-array, widened double
 /// (was int64)] over `n` rows, with NULLs from AppendNull and from
-/// SetValue(null) in every column. Tags are long sorted lists (compressed
-/// while the RidSet gate is on), short ones and unsorted ones (kept plain).
+/// SetValue(null) in every column. Tags are long sorted lists (compressed),
+/// short ones and unsorted ones (kept plain).
 Table GatherSource(size_t n) {
   Table t("src", Schema({{"id", ValueType::kInt64},
                          {"score", ValueType::kDouble},
@@ -351,54 +350,48 @@ Table GatherSource(size_t n) {
 TEST(AppendFromGatherTest, MatchesPerCellOracle) {
   const std::vector<int> all = {0, 1, 2, 3, 4};
   const std::vector<int> projected = {4, 0, 3, 0};
-  for (bool gate : {true, false}) {
-    const bool saved = orpheus::RidSetEnabled();
-    orpheus::SetRidSetEnabled(gate);
-    for (size_t n : {size_t{40}, size_t{5000}}) {
-      const Table src = GatherSource(n);
-      std::vector<std::vector<uint32_t>> row_lists;
-      row_lists.emplace_back();  // no rows
-      std::vector<uint32_t> every(n);
-      std::iota(every.begin(), every.end(), 0u);
-      row_lists.push_back(every);  // >= 4096 at n = 5000: ParallelFor branch
-      std::vector<uint32_t> scattered;
-      for (uint32_t r = 0; r < n; r += 3) scattered.push_back(n - 1 - r);
-      scattered.push_back(0);
-      scattered.push_back(0);  // a row may repeat
-      row_lists.push_back(scattered);
-      // Only cells that are valid although their columns hold NULLs: the
-      // copy must not allocate a validity bitmap.
-      std::vector<uint32_t> valid_only;
-      for (uint32_t r = 0; r < n; ++r) {
-        bool any_null = false;
-        for (size_t c = 0; c < src.num_columns(); ++c) {
-          any_null |= src.column(c).IsNull(r);
-        }
-        if (!any_null) valid_only.push_back(r);
+  for (size_t n : {size_t{40}, size_t{5000}}) {
+    const Table src = GatherSource(n);
+    std::vector<std::vector<uint32_t>> row_lists;
+    row_lists.emplace_back();  // no rows
+    std::vector<uint32_t> every(n);
+    std::iota(every.begin(), every.end(), 0u);
+    row_lists.push_back(every);  // >= 4096 at n = 5000: ParallelFor branch
+    std::vector<uint32_t> scattered;
+    for (uint32_t r = 0; r < n; r += 3) scattered.push_back(n - 1 - r);
+    scattered.push_back(0);
+    scattered.push_back(0);  // a row may repeat
+    row_lists.push_back(scattered);
+    // Only cells that are valid although their columns hold NULLs: the
+    // copy must not allocate a validity bitmap.
+    std::vector<uint32_t> valid_only;
+    for (uint32_t r = 0; r < n; ++r) {
+      bool any_null = false;
+      for (size_t c = 0; c < src.num_columns(); ++c) {
+        any_null |= src.column(c).IsNull(r);
       }
-      row_lists.push_back(valid_only);
-      for (const auto& rows : row_lists) {
-        SCOPED_TRACE("gate " + std::to_string(gate) + " n " +
-                     std::to_string(n) + " rows " +
-                     std::to_string(rows.size()));
-        ExpectSamePhysicalTable(src.CopyRows(rows, "copy"),
-                                PerCellCopy(src, rows, all));
-        ExpectSamePhysicalTable(src.ProjectRows(rows, projected, "proj"),
-                                PerCellCopy(src, rows, projected));
-      }
-      // Appending onto rows already present, NULL-free ones then the rest.
-      Table twice = src.CopyRows(valid_only, "twice");
-      twice.AppendFrom(src, every);
-      Table back = PerCellCopy(src, valid_only, all);
-      for (size_t c = 0; c < all.size(); ++c) {
-        for (uint32_t r : every) {
-          back.mutable_column(c).AppendValue(src.column(c).GetValue(r));
-        }
-      }
-      back.CountAppendedRows(every.size());
-      ExpectSamePhysicalTable(twice, back);
+      if (!any_null) valid_only.push_back(r);
     }
-    orpheus::SetRidSetEnabled(saved);
+    row_lists.push_back(valid_only);
+    for (const auto& rows : row_lists) {
+      SCOPED_TRACE("n " + std::to_string(n) + " rows " +
+                   std::to_string(rows.size()));
+      ExpectSamePhysicalTable(src.CopyRows(rows, "copy"),
+                              PerCellCopy(src, rows, all));
+      ExpectSamePhysicalTable(src.ProjectRows(rows, projected, "proj"),
+                              PerCellCopy(src, rows, projected));
+    }
+    // Appending onto rows already present, NULL-free ones then the rest.
+    Table twice = src.CopyRows(valid_only, "twice");
+    twice.AppendFrom(src, every);
+    Table back = PerCellCopy(src, valid_only, all);
+    for (size_t c = 0; c < all.size(); ++c) {
+      for (uint32_t r : every) {
+        back.mutable_column(c).AppendValue(src.column(c).GetValue(r));
+      }
+    }
+    back.CountAppendedRows(every.size());
+    ExpectSamePhysicalTable(twice, back);
   }
 }
 

@@ -281,17 +281,6 @@ TEST_F(NetTest, DecodeRejectsTruncatedPayload) {
 // Table codec
 // ---------------------------------------------------------------------------
 
-/// Restores the RidSet gate on scope exit.
-struct RidSetGate {
-  explicit RidSetGate(bool on) : saved(RidSetEnabled()) {
-    SetRidSetEnabled(on);
-  }
-  ~RidSetGate() { SetRidSetEnabled(saved); }
-  RidSetGate(const RidSetGate&) = delete;
-  RidSetGate& operator=(const RidSetGate&) = delete;
-  bool saved;
-};
-
 std::vector<int64_t> Iota(int64_t from, int64_t n) {
   std::vector<int64_t> v(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = from + i;
@@ -299,7 +288,8 @@ std::vector<int64_t> Iota(int64_t from, int64_t n) {
 }
 
 /// Every ValueType, a NULL in each column, and int-array cells that are
-/// compressed, plain-but-compressible, short and unsorted.
+/// compressed (appended as a set, and as a long sorted vector), short and
+/// unsorted (kept plain).
 Table MakeEveryTypeTable() {
   Table t("every", Schema({{"i", ValueType::kInt64},
                            {"d", ValueType::kDouble},
@@ -376,14 +366,10 @@ Result<Table> TableRoundTrip(const Table& table) {
 }
 
 TEST_F(NetTest, TableCodecMatchesRowAppendsForEveryType) {
-  for (bool gate : {true, false}) {
-    SCOPED_TRACE(gate ? "ORPHEUS_RIDSET on" : "ORPHEUS_RIDSET off");
-    RidSetGate guard(gate);
-    Table src = MakeEveryTypeTable();
-    auto decoded = TableRoundTrip(src);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    ExpectIdenticalTables(decoded.ValueOrDie(), RowAppendOracle(src));
-  }
+  Table src = MakeEveryTypeTable();
+  auto decoded = TableRoundTrip(src);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectIdenticalTables(decoded.ValueOrDie(), RowAppendOracle(src));
 }
 
 TEST_F(NetTest, TableCodecRoundTripsEmptyTables) {
@@ -472,24 +458,21 @@ TEST_F(NetTest, TableBearingMessagesRejectEveryTruncation) {
 TEST_F(NetTest, TableBearingMessagesSurviveBitFlips) {
   Table table = MakeEveryTypeTable();
   Xorshift rng(20240611);
-  for (bool gate : {true, false}) {
-    RidSetGate guard(gate);
-    for (const auto& [kind, encoded] : TableBearingMessages(table)) {
-      int decoded_ok = 0;
-      for (int trial = 0; trial < 4000; ++trial) {
-        std::string mutated = encoded;
-        const int flips = 1 + static_cast<int>(rng.Uniform(3));
-        for (int f = 0; f < flips; ++f) {
-          const size_t bit = rng.Uniform(mutated.size() * 8);
-          mutated[bit / 8] = static_cast<char>(mutated[bit / 8] ^
-                                               (1 << (bit % 8)));
-        }
-        // Decode or refuse: never throw, crash or over-allocate.
-        if (DecodeMessage(kind, mutated).ok()) ++decoded_ok;
+  for (const auto& [kind, encoded] : TableBearingMessages(table)) {
+    int decoded_ok = 0;
+    for (int trial = 0; trial < 8000; ++trial) {
+      std::string mutated = encoded;
+      const int flips = 1 + static_cast<int>(rng.Uniform(3));
+      for (int f = 0; f < flips; ++f) {
+        const size_t bit = rng.Uniform(mutated.size() * 8);
+        mutated[bit / 8] = static_cast<char>(mutated[bit / 8] ^
+                                             (1 << (bit % 8)));
       }
-      // Most flips land in cell bytes, which any value decodes from.
-      EXPECT_GT(decoded_ok, 0) << kind;
+      // Decode or refuse: never throw, crash or over-allocate.
+      if (DecodeMessage(kind, mutated).ok()) ++decoded_ok;
     }
+    // Most flips land in cell bytes, which any value decodes from.
+    EXPECT_GT(decoded_ok, 0) << kind;
   }
 }
 

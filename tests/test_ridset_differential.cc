@@ -1,14 +1,18 @@
 // Differential tests for the compressed version-membership index: every
-// versioning operation must produce identical results with ORPHEUS_RIDSET
-// off (plain i64 rlist/vlist vectors, the legacy representation) and on
-// (compressed RidSet cells probed in place). The gate changes the physical
-// representation and the checkout kernel — never the answer or the bytes
-// that reach disk.
+// versioning operation must give the answer an in-test oracle (std::set /
+// std::vector over the history's memberships) gives. An array cell is
+// stored compressed when it is sorted, duplicate-free and at least
+// RidSet::kMinCompressElems long, and plain otherwise, so the histories here
+// mix long memberships (compressed cells, probed in place) with short and
+// unsorted ones (plain cells, the binary-search and JoinRids paths). The
+// representation changes the kernel — never the answer or the bytes that
+// reach disk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,38 +28,118 @@
 namespace orpheus::core {
 namespace {
 
-/// Restores the previous gate state on scope exit so one failing test
-/// cannot leak a disabled gate into the rest of the suite.
-struct GateGuard {
-  bool saved = RidSetEnabled();
-  ~GateGuard() { SetRidSetEnabled(saved); }
-};
+constexpr int kAttrs = 3;
 
-struct Fixture {
-  benchdata::VersionedDataset ds;
-  DatasetAccessor accessor;
-  VersionGraph graph;
+/// A version history held as plain memberships: the oracle every store is
+/// checked against.
+struct History {
+  std::vector<std::vector<RecordId>> records;  // per version, ascending
+  std::vector<std::vector<int>> parents;
 
-  explicit Fixture(int versions = 40, int ops = 15)
-      : ds(benchdata::VersionedDataset::Generate(
-            benchdata::SciConfig("S", versions, 5, ops))) {
-    accessor.num_versions = ds.num_versions();
-    accessor.num_attributes = ds.num_attributes();
-    accessor.records_of = [this](int v) -> const std::vector<RecordId>& {
-      return ds.version(v).records;
-    };
-    accessor.payload_of = [this](RecordId rid, std::vector<int64_t>* out) {
-      *out = ds.RecordPayload(rid);
-    };
+  int num_versions() const { return static_cast<int>(records.size()); }
+
+  uint64_t NumDistinctRecords() const {
+    std::set<RecordId> all;
+    for (const auto& rids : records) all.insert(rids.begin(), rids.end());
+    return all.size();
+  }
+
+  static std::vector<int64_t> Payload(RecordId rid) {
+    return {rid * 7, rid % 5, -rid};
+  }
+
+  /// The SCI generator's history: every membership is long, so every
+  /// rlist and almost every vlist is a compressed cell.
+  static History Sci(int versions = 40, int ops = 15) {
+    auto ds = benchdata::VersionedDataset::Generate(
+        benchdata::SciConfig("S", versions, 5, ops));
+    History h;
     for (int v = 0; v < ds.num_versions(); ++v) {
-      const auto& spec = ds.version(v);
-      std::vector<int64_t> w;
-      for (int p : spec.parents) w.push_back(ds.CommonRecords(p, v));
-      graph.AddVersion(spec.parents, w,
-                       static_cast<int64_t>(spec.records.size()));
+      h.records.push_back(ds.version(v).records);
+      h.parents.push_back(ds.version(v).parents);
     }
+    return h;
+  }
+
+  /// A chain whose version v holds one rid shared by every version plus
+  /// the window [v, end_v] of rids, end_v = max(end_{v-1}, v + v % 12).
+  /// Both window ends only move up, so a dropped rid never returns. That
+  /// gives rlists of 2..13 ids and vlists of 1..12 ids (and one of every
+  /// version), so compressed and plain cells sit side by side in one table.
+  static History Short(int versions = 30) {
+    History h;
+    constexpr RecordId kShared = 1000;
+    RecordId end = -1;
+    for (int v = 0; v < versions; ++v) {
+      end = std::max<RecordId>(end, v + v % 12);
+      std::vector<RecordId> rids;
+      for (RecordId rid = v; rid <= end; ++rid) rids.push_back(rid);
+      rids.push_back(kShared);
+      h.records.push_back(rids);
+      h.parents.push_back(v == 0 ? std::vector<int>{}
+                                 : std::vector<int>{v - 1});
+    }
+    return h;
+  }
+
+  /// Ascending [rid, payload...] rows of version `v`.
+  std::vector<std::vector<int64_t>> ExpectedRows(int v) const {
+    std::set<RecordId> members(records[v].begin(), records[v].end());
+    std::vector<std::vector<int64_t>> rows;
+    for (RecordId rid : members) {
+      std::vector<int64_t> row{rid};
+      for (int64_t x : Payload(rid)) row.push_back(x);
+      rows.push_back(row);
+    }
+    return rows;
+  }
+
+  VersionGraph Graph() const {
+    VersionGraph graph;
+    for (int v = 0; v < num_versions(); ++v) {
+      std::vector<int64_t> w;
+      for (int p : parents[v]) {
+        std::vector<RecordId> common;
+        std::set_intersection(records[p].begin(), records[p].end(),
+                              records[v].begin(), records[v].end(),
+                              std::back_inserter(common));
+        w.push_back(static_cast<int64_t>(common.size()));
+      }
+      graph.AddVersion(parents[v], w,
+                       static_cast<int64_t>(records[v].size()));
+    }
+    return graph;
+  }
+
+  /// Accessor over `memberships` (the history's own, unless a test hands
+  /// out a reordered copy).
+  DatasetAccessor Accessor(
+      const std::vector<std::vector<RecordId>>& memberships) const {
+    DatasetAccessor accessor;
+    accessor.num_versions = num_versions();
+    accessor.num_attributes = kAttrs;
+    accessor.records_of =
+        [&memberships](int v) -> const std::vector<RecordId>& {
+      return memberships[v];
+    };
+    accessor.payload_of = [](RecordId rid, std::vector<int64_t>* out) {
+      *out = Payload(rid);
+    };
+    return accessor;
   }
 };
+
+/// Checked-out rows sorted by rid.
+std::vector<std::vector<int64_t>> SortedRows(const minidb::Table& t) {
+  std::vector<std::vector<int64_t>> rows(t.num_rows());
+  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      rows[r].push_back(t.column(static_cast<int>(c)).GetInt(r));
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
 
 std::vector<int64_t> Flatten(const minidb::Table& t) {
   std::vector<int64_t> out;
@@ -68,31 +152,25 @@ std::vector<int64_t> Flatten(const minidb::Table& t) {
   return out;
 }
 
-minidb::Row PayloadRow(const benchdata::VersionedDataset& ds, RecordId rid) {
-  minidb::Row row;
-  for (int64_t v : ds.RecordPayload(rid)) row.emplace_back(v);
-  return row;
-}
-
-std::unique_ptr<DataModelBackend> BuildBackend(
-    DataModelType type, const benchdata::VersionedDataset& ds) {
+std::unique_ptr<DataModelBackend> BuildBackend(DataModelType type,
+                                               const History& h) {
   std::vector<minidb::ColumnDef> cols;
-  for (int a = 0; a < ds.num_attributes(); ++a) {
+  for (int a = 0; a < kAttrs; ++a) {
     cols.push_back({"a" + std::to_string(a), minidb::ValueType::kInt64});
   }
   auto backend =
       DataModelBackend::Create(type, minidb::Schema(std::move(cols)));
-  std::vector<char> seen(ds.num_distinct_records(), 0);
-  for (int v = 0; v < ds.num_versions(); ++v) {
-    const auto& spec = ds.version(v);
+  std::set<RecordId> seen;
+  for (int v = 0; v < h.num_versions(); ++v) {
     std::vector<NewRecord> fresh;
-    for (RecordId rid : spec.records) {
-      if (!seen[rid]) {
-        seen[rid] = 1;
-        fresh.push_back({rid, PayloadRow(ds, rid)});
+    for (RecordId rid : h.records[v]) {
+      if (seen.insert(rid).second) {
+        minidb::Row row;
+        for (int64_t x : History::Payload(rid)) row.emplace_back(x);
+        fresh.push_back({rid, std::move(row)});
       }
     }
-    Status s = backend->AddVersion(v, spec.records, fresh, spec.parents);
+    Status s = backend->AddVersion(v, h.records[v], fresh, h.parents[v]);
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
   return backend;
@@ -104,67 +182,88 @@ const DataModelType kAllModels[] = {
     DataModelType::kDeltaBased,
 };
 
-TEST(RidSetDifferential, BackendCheckoutIdenticalOffVsOn) {
-  GateGuard guard;
-  Fixture f;
+void ExpectBackendMatchesOracle(const History& h) {
   for (DataModelType model : kAllModels) {
-    SetRidSetEnabled(false);
-    auto off = BuildBackend(model, f.ds);
-    SetRidSetEnabled(true);
-    auto on = BuildBackend(model, f.ds);
-    for (int v : {0, 7, f.ds.num_versions() / 2, f.ds.num_versions() - 1}) {
-      auto t_off = off->Checkout(v, "off");
-      auto t_on = on->Checkout(v, "on");
-      ASSERT_TRUE(t_off.ok()) << t_off.status().ToString();
-      ASSERT_TRUE(t_on.ok()) << t_on.status().ToString();
-      EXPECT_EQ(Flatten(*t_off), Flatten(*t_on))
+    auto backend = BuildBackend(model, h);
+    for (int v = 0; v < h.num_versions(); ++v) {
+      auto t = backend->Checkout(v, "out");
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      EXPECT_EQ(SortedRows(*t), h.ExpectedRows(v))
           << DataModelTypeName(model) << " v" << v;
-    }
-    // VersionRecords (the commit/diff membership source) must agree too.
-    for (int v = 0; v < f.ds.num_versions(); ++v) {
-      auto r_off = off->VersionRecords(v);
-      auto r_on = on->VersionRecords(v);
-      ASSERT_TRUE(r_off.ok() && r_on.ok());
-      EXPECT_EQ(r_off.ValueOrDie(), r_on.ValueOrDie())
+      // VersionRecords (the commit/diff membership source) too.
+      auto rids = backend->VersionRecords(v);
+      ASSERT_TRUE(rids.ok()) << rids.status().ToString();
+      EXPECT_EQ(rids.ValueOrDie(), h.records[v])
           << DataModelTypeName(model) << " v" << v;
     }
   }
 }
 
-TEST(RidSetDifferential, PartitionedStoreCheckoutIdenticalOffVsOn) {
-  GateGuard guard;
-  Fixture f;
-  Partitioning plan =
-      LyreSplitForBudget(
-          f.graph, 2 * static_cast<uint64_t>(f.ds.num_distinct_records()))
-          .partitioning;
+TEST(RidSetDifferential, BackendCheckoutMatchesOracleLongMemberships) {
+  ExpectBackendMatchesOracle(History::Sci());
+}
 
-  SetRidSetEnabled(false);
-  PartitionedStore store_off = PartitionedStore::Build(f.accessor, plan);
-  SetRidSetEnabled(true);
-  PartitionedStore store_on = PartitionedStore::Build(f.accessor, plan);
-
-  for (int v = 0; v < f.ds.num_versions(); ++v) {
-    auto t_off = store_off.Checkout(v);
-    auto t_on = store_on.Checkout(v);
-    ASSERT_TRUE(t_off.ok()) << t_off.status().ToString();
-    ASSERT_TRUE(t_on.ok()) << t_on.status().ToString();
-    EXPECT_EQ(Flatten(*t_off), Flatten(*t_on)) << "v" << v;
+// Short vlists send the combined-table scan down its binary search and
+// short rlists send split-by-rlist down its plain JoinRids.
+TEST(RidSetDifferential, BackendCheckoutMatchesOracleShortMemberships) {
+  const History h = History::Short();
+  size_t short_rlists = 0;
+  for (const auto& rids : h.records) {
+    short_rlists += rids.size() < RidSet::kMinCompressElems;
   }
-  // The compressed rlists must cost no more than the plain vectors.
-  EXPECT_LE(store_on.VersioningBytes(), store_off.VersioningBytes());
+  ASSERT_GT(short_rlists, 0u);
+  ASSERT_LT(short_rlists, h.records.size());
+  ExpectBackendMatchesOracle(h);
+}
+
+// The Sec. 5.5.5 ablation joins run over the decompressed rlist of a
+// compressed cell and over a plain cell as it is.
+TEST(RidSetDifferential, SplitByRlistAblationJoinsMatchOracle) {
+  for (const History& h : {History::Sci(12), History::Short()}) {
+    auto backend = BuildBackend(DataModelType::kSplitByRlist, h);
+    auto* split = dynamic_cast<SplitByRlistBackend*>(backend.get());
+    ASSERT_NE(split, nullptr);
+    for (auto algo : {minidb::JoinAlgorithm::kMergeJoin,
+                      minidb::JoinAlgorithm::kIndexNestedLoop}) {
+      split->set_join_algorithm(algo);
+      for (int v = 0; v < h.num_versions(); ++v) {
+        auto t = split->Checkout(v, "out");
+        ASSERT_TRUE(t.ok()) << t.status().ToString();
+        EXPECT_EQ(SortedRows(*t), h.ExpectedRows(v))
+            << minidb::JoinAlgorithmName(algo) << " v" << v;
+      }
+    }
+  }
+}
+
+// Long rlists join through JoinRidSet, short ones through the merge join.
+TEST(RidSetDifferential, PartitionedStoreCheckoutMatchesOracle) {
+  for (const History& h : {History::Sci(), History::Short()}) {
+    const DatasetAccessor accessor = h.Accessor(h.records);
+    Partitioning plan =
+        LyreSplitForBudget(h.Graph(), 2 * h.NumDistinctRecords())
+            .partitioning;
+    PartitionedStore store = PartitionedStore::Build(accessor, plan);
+    for (int v = 0; v < h.num_versions(); ++v) {
+      auto t = store.Checkout(v);
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      EXPECT_EQ(SortedRows(*t), h.ExpectedRows(v)) << "v" << v;
+    }
+    // The rlists must cost no more than plain vectors would: 8 bytes per
+    // vid, 8 per rid and a 16-byte array header per version.
+    uint64_t plain_bytes = 0;
+    for (const auto& rids : h.records) plain_bytes += 24 + 8 * rids.size();
+    EXPECT_LE(store.VersioningBytes(), plain_bytes);
+  }
 }
 
 TEST(RidSetDifferential, CheckoutDeterministicAcrossPoolDegrees) {
-  GateGuard guard;
-  SetRidSetEnabled(true);
-  Fixture f;
+  const History h = History::Sci();
+  const DatasetAccessor accessor = h.Accessor(h.records);
   Partitioning plan =
-      LyreSplitForBudget(
-          f.graph, 2 * static_cast<uint64_t>(f.ds.num_distinct_records()))
-          .partitioning;
-  PartitionedStore store = PartitionedStore::Build(f.accessor, plan);
-  for (int v : {0, 11, f.ds.num_versions() - 1}) {
+      LyreSplitForBudget(h.Graph(), 2 * h.NumDistinctRecords()).partitioning;
+  PartitionedStore store = PartitionedStore::Build(accessor, plan);
+  for (int v : {0, 11, h.num_versions() - 1}) {
     ThreadPool::Global().SetDegree(1);
     auto serial = store.Checkout(v);
     ThreadPool::Global().SetDegree(8);
@@ -175,11 +274,10 @@ TEST(RidSetDifferential, CheckoutDeterministicAcrossPoolDegrees) {
   }
 }
 
-TEST(RidSetDifferential, EncodedValueBytesIndependentOfGate) {
-  GateGuard guard;
-  // A versioning cell holding the same rid list, stored compressed (gate
-  // on) and plain (gate off), must serialize to identical bytes: snapshots
-  // and WAL records cannot depend on the in-memory representation.
+TEST(RidSetDifferential, EncodedValueBytesIndependentOfRepresentation) {
+  // A versioning cell holding the same rid list, held compressed and held
+  // plain, must serialize to identical bytes: snapshots and WAL records
+  // cannot depend on the in-memory representation.
   std::vector<int64_t> rids;
   for (int i = 0; i < 10000; ++i) rids.push_back(i * 3 + 100);
 
@@ -194,25 +292,39 @@ TEST(RidSetDifferential, EncodedValueBytesIndependentOfGate) {
   storage::EncodeValue(compressed, &enc_set);
   EXPECT_EQ(enc_plain.data(), enc_set.data());
 
-  // Decode under both gate settings: same logical value either way.
-  for (bool on : {false, true}) {
-    SetRidSetEnabled(on);
-    storage::Decoder dec(enc_plain.data());
-    auto back = storage::DecodeValue(&dec);
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_EQ(back.ValueOrDie().AsIntArray(), rids) << "gate=" << on;
-    EXPECT_TRUE(dec.AtEnd());
-  }
+  // The packed blob decodes to a compressed cell equal to both.
+  storage::Decoder dec(enc_plain.data());
+  auto back = storage::DecodeValue(&dec);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_NE(back.ValueOrDie().TryRidSet(), nullptr);
+  EXPECT_EQ((*back.ValueOrDie().TryRidSet())->ToVector(), rids);
+  EXPECT_EQ(back.ValueOrDie(), plain);
+  EXPECT_EQ(back.ValueOrDie(), compressed);
+  EXPECT_TRUE(dec.AtEnd());
 
-  // Short or unsorted lists take the raw encoding and roundtrip too.
+  // A compressed cell too short to pack takes the raw tag, byte for byte
+  // what its plain twin writes.
+  std::vector<int64_t> few{2, 4, 6};
+  minidb::Value few_plain(few);
+  minidb::Value few_set(
+      std::make_shared<const RidSet>(RidSet::FromSorted(few)));
+  storage::Encoder enc_few_plain;
+  storage::EncodeValue(few_plain, &enc_few_plain);
+  storage::Encoder enc_few_set;
+  storage::EncodeValue(few_set, &enc_few_set);
+  EXPECT_EQ(enc_few_plain.data(), enc_few_set.data());
+
+  // Short or unsorted lists take the raw tag and come back plain.
   for (const std::vector<int64_t>& raw :
-       {std::vector<int64_t>{5, 3, 9}, std::vector<int64_t>{1, 2, 3}}) {
+       {std::vector<int64_t>{5, 3, 9}, std::vector<int64_t>{1, 2, 3},
+        std::vector<int64_t>{9, 8, 7, 6, 5, 4, 3, 2, 1}}) {
     storage::Encoder enc;
     storage::EncodeValue(minidb::Value(raw), &enc);
-    storage::Decoder dec(enc.data());
-    auto back = storage::DecodeValue(&dec);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back.ValueOrDie().AsIntArray(), raw);
+    storage::Decoder raw_dec(enc.data());
+    auto raw_back = storage::DecodeValue(&raw_dec);
+    ASSERT_TRUE(raw_back.ok());
+    ASSERT_EQ(raw_back.ValueOrDie().TryRidSet(), nullptr);
+    EXPECT_EQ(raw_back.ValueOrDie().AsIntArray(), raw);
   }
 }
 
@@ -248,31 +360,19 @@ TEST(RidSetDifferential, UnsortedPlainRlistStillCheckoutCorrect) {
   if (orpheus::ValidationEnabled()) {
     GTEST_SKIP() << "validate mode rejects unsorted rlists at build time";
   }
-  GateGuard guard;
-  // With the gate off, AddVersion keeps whatever order the accessor hands
-  // out; the store must remember that sortedness was broken.
-  SetRidSetEnabled(false);
-  Fixture f;
-  // Accessor that reverses every rlist (sorted ascending -> descending).
-  std::vector<std::vector<RecordId>> reversed(f.ds.num_versions());
-  for (int v = 0; v < f.ds.num_versions(); ++v) {
-    reversed[v] = f.ds.version(v).records;
-    std::reverse(reversed[v].begin(), reversed[v].end());
-  }
-  DatasetAccessor rev = f.accessor;
-  rev.records_of = [&reversed](int v) -> const std::vector<RecordId>& {
-    return reversed[v];
-  };
+  const History h = History::Sci();
+  // Reversed (descending) rlists are not sorted, so AddVersion keeps them
+  // as plain cells in the order the accessor hands out; the store must
+  // remember that sortedness was broken.
+  std::vector<std::vector<RecordId>> reversed = h.records;
+  for (auto& rids : reversed) std::reverse(rids.begin(), rids.end());
 
-  Partitioning plan = Partitioning::SinglePartition(f.ds.num_versions());
-  PartitionedStore store = PartitionedStore::Build(rev, plan);
-  for (int v : {0, f.ds.num_versions() - 1}) {
+  Partitioning plan = Partitioning::SinglePartition(h.num_versions());
+  PartitionedStore store = PartitionedStore::Build(h.Accessor(reversed), plan);
+  for (int v : {0, h.num_versions() - 1}) {
     auto t = store.Checkout(v);
     ASSERT_TRUE(t.ok()) << t.status().ToString();
-    std::vector<RecordId> rids(t->column(0).int_data().begin(),
-                               t->column(0).int_data().end());
-    std::sort(rids.begin(), rids.end());
-    EXPECT_EQ(rids, f.ds.version(v).records) << "v" << v;
+    EXPECT_EQ(SortedRows(*t), h.ExpectedRows(v)) << "v" << v;
   }
 }
 

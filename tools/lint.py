@@ -63,13 +63,13 @@ raw-file-write
     sites the crash tests exercise. Reads (std::ifstream) stay allowed.
 
 ridset-decompress
-    GetIntArray() / AsIntArray() inside src/ outside the RidSet
-    infrastructure and the sanctioned legacy-fallback sites. These calls
-    materialize a compressed rlist/vlist cell into a plain vector; on the
-    checkout hot path that silently undoes the membership-index
-    compression. Probe in place instead (Contains/ContainsHint,
-    IntersectToRows, JoinRidSet) or, for a genuine legacy path, add the
-    file to the allowlist with a comment saying why.
+    RidSet::ToVector() inside src/ outside the RidSet implementation and
+    the cold readers that need a plain id list. The call decompresses a
+    compressed rlist/vlist cell into a fresh vector; on the checkout hot
+    path that silently undoes the membership-index compression. Probe in
+    place instead (Contains/ContainsHint, IntersectToRows, JoinRidSet) or,
+    for another cold reader, add the file to the allowlist with a comment
+    saying why.
 
 Exit status: 0 when clean, 1 when any violation is found.
 """
@@ -130,16 +130,15 @@ RAW_FILE_WRITE = re.compile(
 RAW_FILE_WRITE_ALLOWED = ("src/common/file_util.cc", "src/common/log.cc")
 RAW_FILE_WRITE_ALLOWED_PREFIX = "src/storage/"
 
-# Decompression of versioning array cells. Allowed only where the plain
-# view is the point: the RidSet/Value/Column plumbing itself, the codec's
-# raw fallback, the validator (which checks the materialized view against
-# the compressed one), and the gated ORPHEUS_RIDSET=0 legacy joins.
-RIDSET_DECOMPRESS = re.compile(r"\b(?:GetIntArray|AsIntArray)\s*\(")
+# Decompression of versioning array cells. Allowed only in RidSet itself
+# and in cold readers where a plain id list is the point: Value's
+# mixed-representation compare and print, the codec's short-list and
+# rid-list paths, the validator's sortedness and containment checks, and
+# split-by-rlist's VersionRecords and ablation joins.
+RIDSET_DECOMPRESS = re.compile(r"\bToVector\s*\(")
 RIDSET_DECOMPRESS_ALLOWED = (
-    "src/minidb/column.h", "src/minidb/column.cc", "src/minidb/value.h",
-    "src/minidb/value.cc", "src/minidb/table.cc", "src/storage/format.cc",
-    "src/core/validate.cc", "src/core/partition_store.cc",
-    "src/core/data_models.cc",
+    "src/common/ridset.h", "src/common/ridset.cc", "src/minidb/value.cc",
+    "src/storage/format.cc", "src/core/validate.cc", "src/core/data_models.cc",
 )
 
 
@@ -238,7 +237,7 @@ def lint_file(rel, violations):
                 and RIDSET_DECOMPRESS.search(line)):
             violations.append(
                 (rel, lineno, "ridset-decompress",
-                 "GetIntArray/AsIntArray decompresses a versioning cell; "
+                 "RidSet::ToVector decompresses a versioning cell; "
                  "probe the RidSet in place (ContainsHint, IntersectToRows, "
                  "JoinRidSet) or extend the allowlist"))
 

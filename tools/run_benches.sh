@@ -5,9 +5,10 @@
 #
 # Usage: tools/run_benches.sh [build_dir]   (default: build)
 #
-# The committed BENCH_*.json files carry the compressed-membership-index
-# comparison gauges (bench.ridset.*): checkout time and versioning bytes
-# with ORPHEUS_RIDSET off vs on, measured in one process from one binary.
+# BENCH_checkout_cost_model.json carries the array-cell kernel gauges
+# (bench.ridset.*): the rlist checkout join and the vlist membership probe
+# over plain vectors vs RidSets, each the median and IQR of repeated runs
+# taken in alternating order.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
